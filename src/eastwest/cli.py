@@ -26,21 +26,28 @@ def data_path(name: str) -> Path:
     return Path(resources.files("eastwest.data") / name)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+
+
 def _load_table(spec: str):
     if spec in ("full", "unary-train", "unary_train"):
         return features.build_feature_table("unary_train" if spec != "full" else "full")
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise CliError(f"feature set {spec!r} is neither a known name nor a file")
-    names = [line.strip() for line in path.read_text().splitlines() if line.strip()]
-    return features.build_feature_table(names)
+    names = [line.strip() for line in _read_text(spec).splitlines() if line.strip()]
+    try:
+        return features.build_feature_table(names)
+    except ValueError as exc:
+        raise CliError(f"{spec}: {exc}") from None
 
 
 def _load_dataset(path: str):
     try:
-        loaded = trains_mod.load_trains(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        loaded = trains_mod.parse_trains(_read_text(path))
     except trains_mod.TrainFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
     if not loaded:
@@ -49,16 +56,19 @@ def _load_dataset(path: str):
 
 
 def _run_one(data_file: str, args) -> dict:
+    try:
+        config = ga.GaConfig(
+            population_size=args.pop_size,
+            generations=args.generations,
+            rng_seed=args.seed,
+            error_cost=args.error_cost,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     trains = _load_dataset(data_file)
     table = _load_table(args.features)
     matrix = features.evaluate_features(trains, table)
     costs = np.array([s.cost for s in table])
-    config = ga.GaConfig(
-        population_size=args.pop_size,
-        generations=args.generations,
-        rng_seed=args.seed,
-        error_cost=args.error_cost,
-    )
     result = ga.evolve(matrix, costs, config)
 
     raw = theory_mod.tree_to_dnf(result.best_tree)
@@ -184,10 +194,10 @@ def cmd_multi(args) -> int:
 
 def cmd_agree(args) -> int:
     table = features.build_feature_table("full")
+    texts = [_read_text(path) for path in (args.theory_a, args.theory_b)]
     try:
-        a = theory_mod.theory_from_json(Path(args.theory_a).read_text(), table)
-        b = theory_mod.theory_from_json(Path(args.theory_b).read_text(), table)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        a, b = (theory_mod.theory_from_json(text, table) for text in texts)
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
         raise CliError(f"cannot load theory: {exc}") from None
     trains = _load_dataset(args.data)
     value = theory_mod.agreement(a, b, trains, table)
@@ -214,10 +224,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_score(args) -> int:
-    try:
-        text = Path(args.program).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.program}: {exc}") from None
+    text = _read_text(args.program)
     try:
         print(theory_mod.complexity(text))
     except theory_mod.ProgramSyntaxError as exc:
@@ -226,7 +233,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_gen_trains(args) -> int:
-    generated = trains_mod.random_trains(args.count, args.seed)
+    try:
+        generated = trains_mod.random_trains(args.count, args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     text = trains_mod.render_trains(generated)
     if args.out:
         Path(args.out).write_text(text)

@@ -129,6 +129,14 @@ HAS_CAR_COST = 3
 INFRONT_COST = 4
 
 
+# block offsets in predicate_vector()
+_N_CAR = len(CAR_PREDICATES)
+_SAME_CAR = _N_CAR
+_INFRONT = _SAME_CAR + _N_CAR * _N_CAR
+_TRAIN = _INFRONT + _N_CAR * _N_CAR
+_VECTOR_LEN = _TRAIN + len(TRAIN_PREDICATES)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """A boolean feature over whole trains, with its fragment cost."""
@@ -138,27 +146,7 @@ class FeatureSpec:
     name: str
     cost: int
     components: tuple[str, ...]  # car predicate names, or the train predicate name
-
-    def test(self, train: Train) -> bool:
-        if self.kind == "unary":
-            p = CAR_PREDICATES[CAR_PREDICATE_INDEX[self.components[0]]]
-            return any(p.test(c) for c in train.cars)
-        if self.kind == "pair":
-            p = CAR_PREDICATES[CAR_PREDICATE_INDEX[self.components[0]]]
-            q = CAR_PREDICATES[CAR_PREDICATE_INDEX[self.components[1]]]
-            return any(p.test(c) and q.test(c) for c in train.cars)
-        if self.kind == "infront":
-            p = CAR_PREDICATES[CAR_PREDICATE_INDEX[self.components[0]]]
-            q = CAR_PREDICATES[CAR_PREDICATE_INDEX[self.components[1]]]
-            return any(
-                p.test(c1) and q.test(c2)
-                for c1, c2 in zip(train.cars, train.cars[1:])
-            )
-        p = TRAIN_PREDICATES[TRAIN_PREDICATE_INDEX[self.components[0]]]
-        return p.test(train)
-
-
-FEATURE_SETS = ("full", "unary_train")
+    slot: int  # position of the feature's value in predicate_vector()
 
 
 def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[FeatureSpec]:
@@ -170,20 +158,26 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
 
     `feature_set` may be "full", "unary_train" (unary + train features
     only), or an iterable of feature names selecting a custom subset;
-    indices are always dense over the returned table.
+    indices are always dense over the returned table.  Raises ValueError
+    for unknown names or an empty selection.
     """
-    specs: list[tuple[str, str, int, tuple[str, ...]]] = []
-    for p in CAR_PREDICATES:
-        specs.append(("unary", p.name, HAS_CAR_COST + p.cost, (p.name,)))
-    n = len(CAR_PREDICATES)
-    for i in range(n):
-        for j in range(i + 1, n):
+    specs: list[tuple[str, str, int, tuple[str, ...], int]] = []
+    for i, p in enumerate(CAR_PREDICATES):
+        specs.append(("unary", p.name, HAS_CAR_COST + p.cost, (p.name,), i))
+    for i in range(_N_CAR):
+        for j in range(i + 1, _N_CAR):
             p, q = CAR_PREDICATES[i], CAR_PREDICATES[j]
             specs.append(
-                ("pair", f"{p.name}_{q.name}", HAS_CAR_COST + p.cost + q.cost, (p.name, q.name))
+                (
+                    "pair",
+                    f"{p.name}_{q.name}",
+                    HAS_CAR_COST + p.cost + q.cost,
+                    (p.name, q.name),
+                    _SAME_CAR + i * _N_CAR + j,
+                )
             )
-    for i in range(n):
-        for j in range(n):
+    for i in range(_N_CAR):
+        for j in range(_N_CAR):
             p, q = CAR_PREDICATES[i], CAR_PREDICATES[j]
             specs.append(
                 (
@@ -191,10 +185,11 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
                     f"{p.name}_infront_{q.name}",
                     INFRONT_COST + p.cost + q.cost,
                     (p.name, q.name),
+                    _INFRONT + i * _N_CAR + j,
                 )
             )
-    for p in TRAIN_PREDICATES:
-        specs.append(("train", p.name, p.cost, (p.name,)))
+    for k, p in enumerate(TRAIN_PREDICATES):
+        specs.append(("train", p.name, p.cost, (p.name,), _TRAIN + k))
 
     if feature_set == "full":
         keep = specs
@@ -207,10 +202,12 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
         if unknown:
             raise ValueError(f"unknown feature names: {sorted(unknown)}")
         keep = [s for s in specs if s[1] in wanted]
+    if not keep:
+        raise ValueError("the feature selection is empty")
 
     return [
-        FeatureSpec(index=i, kind=k, name=nm, cost=c, components=comp)
-        for i, (k, nm, c, comp) in enumerate(keep)
+        FeatureSpec(index=i, kind=k, name=nm, cost=c, components=comp, slot=slot)
+        for i, (k, nm, c, comp, slot) in enumerate(keep)
     ]
 
 
@@ -238,51 +235,28 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _car_predicate_matrix(train: Train) -> np.ndarray:
-    rows = np.empty((len(train.cars), len(CAR_PREDICATES)), dtype=bool)
-    for i, car in enumerate(train.cars):
-        for j, pred in enumerate(CAR_PREDICATES):
-            rows[i, j] = pred.test(car)
-    return rows
+def predicate_vector(train: Train) -> np.ndarray:
+    """Every car-predicate combination and train predicate of one train.
+
+    Laid out as [28 unary | 28x28 same-car | 28x28 infront | 9 train]; a
+    feature's value is the entry at its `slot`.
+    """
+    P = np.array([[p.test(c) for p in CAR_PREDICATES] for c in train.cars], dtype=bool)
+    return np.concatenate(
+        [
+            P.any(axis=0),
+            (P.T @ P).ravel(),  # some car satisfies both
+            (P[:-1].T @ P[1:]).ravel(),  # adjacent cars; all False for one car
+            [p.test(train) for p in TRAIN_PREDICATES],
+        ]
+    )
 
 
 def evaluate_features(trains: Sequence[Train], table: Sequence[FeatureSpec]) -> FeatureMatrix:
     """Evaluate every feature in `table` on every train."""
-    values = np.zeros((len(trains), len(table)), dtype=bool)
-    for t_idx, train in enumerate(trains):
-        P = _car_predicate_matrix(train)
-        unary = P.any(axis=0)
-        same_car = np.einsum("ci,cj->ij", P, P) > 0  # some car satisfies both
-        if len(train.cars) >= 2:
-            adjacent = np.einsum("ci,cj->ij", P[:-1], P[1:]) > 0
-        else:
-            adjacent = np.zeros_like(same_car)
-        train_vals = np.array([p.test(train) for p in TRAIN_PREDICATES], dtype=bool)
-        for spec in table:
-            if spec.kind == "unary":
-                values[t_idx, spec.index] = unary[CAR_PREDICATE_INDEX[spec.components[0]]]
-            elif spec.kind == "pair":
-                i = CAR_PREDICATE_INDEX[spec.components[0]]
-                j = CAR_PREDICATE_INDEX[spec.components[1]]
-                values[t_idx, spec.index] = same_car[i, j]
-            elif spec.kind == "infront":
-                i = CAR_PREDICATE_INDEX[spec.components[0]]
-                j = CAR_PREDICATE_INDEX[spec.components[1]]
-                values[t_idx, spec.index] = adjacent[i, j]
-            else:
-                values[t_idx, spec.index] = train_vals[TRAIN_PREDICATE_INDEX[spec.components[0]]]
+    vectors = np.empty((len(trains), _VECTOR_LEN), dtype=bool)
+    for row, train in zip(vectors, trains):
+        row[:] = predicate_vector(train)
+    values = vectors[:, [spec.slot for spec in table]]
     labels = np.array([t.label == EAST for t in trains], dtype=bool)
     return FeatureMatrix(tuple(t.id for t in trains), values, labels)
-
-
-def export_matrix(
-    matrix: FeatureMatrix, table: Sequence[FeatureSpec], delimiter: str = "\t"
-) -> str:
-    """Render the matrix as delimited text: header row, one row per train."""
-    lines = [delimiter.join(["train"] + [s.name for s in table] + ["label"])]
-    for i, tid in enumerate(matrix.train_ids):
-        cells = [tid]
-        cells += [str(int(v)) for v in matrix.values[i]]
-        cells.append("east" if matrix.labels[i] else "west")
-        lines.append(delimiter.join(cells))
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,8 +41,10 @@ class GaConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if not 0 <= self.elitism_count <= self.population_size:
             raise ValueError("elitism_count must lie in [0, population_size]")
-        if self.error_cost < 0:
-            raise ValueError("error_cost must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if not (math.isfinite(self.error_cost) and self.error_cost >= 0):
+            raise ValueError("error_cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)

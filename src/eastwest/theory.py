@@ -11,7 +11,6 @@ counting rule that prices the features.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +23,10 @@ from .features import (
     TRAIN_PREDICATE_INDEX,
     FeatureMatrix,
     FeatureSpec,
+    predicate_vector,
 )
-from .trains import Train
-from .tree import EAST, WEST, Leaf, Node, Tree
+from .trains import EAST, WEST, Train, TrainFormatError, _tokenize
+from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list
 Literal = tuple[int, int]
@@ -202,33 +202,6 @@ class ProgramSyntaxError(ValueError):
     pass
 
 
-_PROG_TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<neck>:-)
-      | (?P<int>\d+)
-      | (?P<name>[a-z][A-Za-z0-9_]*)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<punct>[();,.])
-    """,
-    re.VERBOSE,
-)
-
-
-def _prog_tokens(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _PROG_TOKEN.match(text, pos)
-        if m is None:
-            raise ProgramSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.lastgroup not in ("ws", "comment"):
-            kind = m.lastgroup if m.lastgroup != "punct" else m.group()
-            tokens.append((kind, m.group()))
-        pos = m.end()
-    return tokens
-
-
 class _Counter:
     def __init__(self):
         self.clauses = 0
@@ -251,7 +224,7 @@ class _ProgParser:
         self.c = counter
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "")
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", None, None)
 
     def next(self):
         tok = self.peek()
@@ -297,12 +270,12 @@ class _ProgParser:
             self.parse_primary()
 
     def parse_primary(self):
-        kind, text = self.peek()
+        kind, text, _, _ = self.peek()
         if kind == "(":
             self.next()
             self.parse_body()
             self.expect(")")
-        elif kind == "name" and text == "not":
+        elif kind == "atom" and text == "not":
             self.next()
             self.c.operators += 1
             self.parse_primary()
@@ -310,7 +283,7 @@ class _ProgParser:
             self.parse_literal()
 
     def parse_literal(self):
-        tok = self.expect("name")
+        tok = self.expect("atom")
         if tok[1] == "not":
             self.c.operators += 1
             self.parse_primary()
@@ -325,10 +298,10 @@ class _ProgParser:
             self.expect(")")
 
     def parse_arg(self):
-        kind, _ = self.next()
+        kind = self.next()[0]
         if kind == "var":
             self.c.variables += 1
-        elif kind in ("int", "name"):
+        elif kind in ("int", "atom"):
             self.c.constants += 1
         else:
             raise ProgramSyntaxError(f"expected an argument, found {kind!r}")
@@ -340,7 +313,10 @@ def complexity(program_text: str) -> int:
     Units without `:-` are scored as bodiless fragments (zero clause
     occurrences), matching how individual feature fragments are priced.
     """
-    tokens = _prog_tokens(program_text)
+    try:
+        tokens = _tokenize(program_text)
+    except TrainFormatError as exc:
+        raise ProgramSyntaxError(str(exc)) from None
     if not tokens:
         return 0
     counter = _Counter()
@@ -352,8 +328,9 @@ def complexity(program_text: str) -> int:
 
 def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
     """East iff some conjunction is satisfied by the train's feature values."""
+    vector = predicate_vector(train)
     for conj in theory.dnf:
-        if all(table[feat].test(train) == bool(val) for feat, val in conj):
+        if all(vector[table[feat].slot] == bool(val) for feat, val in conj):
             return EAST
     return WEST
 

@@ -66,15 +66,6 @@ class Car:
         if not 0 <= self.load_count <= 3:
             raise TrainFormatError(f"load count must be in 0..3, got {self.load_count}")
 
-    @property
-    def is_open(self) -> bool:
-        # open/closed is derived from the roof, never stored separately
-        return self.roof == "none"
-
-    @property
-    def is_closed(self) -> bool:
-        return self.roof != "none"
-
 
 @dataclass(frozen=True)
 class Train:
@@ -97,7 +88,7 @@ class Train:
         return len(self.cars)
 
 
-# --- ground-term tokenizer / parser ---------------------------------------
+# --- tokenizer (shared with the program scorer) and ground-term parser ------
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -106,7 +97,7 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<atom>[a-z][A-Za-z0-9_]*)
       | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\],.])
+      | (?P<punct>[()\[\],.;])
     """,
     re.VERBOSE,
 )
@@ -286,6 +277,8 @@ def random_trains(count: int, seed: int, labels: bool = True) -> list[Train]:
     """
     import numpy as np
 
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     trains = []
     counts = {EAST: 0, WEST: 0}

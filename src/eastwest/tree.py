@@ -18,9 +18,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .features import FeatureMatrix, FeatureSpec
-
-EAST = "east"
-WEST = "west"
+from .trains import EAST, WEST
 
 B_MAX = 10000.0
 CF_MIN, CF_MAX = 1.0, 100.0
@@ -41,7 +39,7 @@ class BiasVector:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1:
             raise ValueError("bias weights must be a 1-d vector")
-        if np.any(w < 0) or np.any(w > B_MAX):
+        if not np.all((w >= 0) & (w <= B_MAX)):  # NaN fails both comparisons
             raise ValueError(f"bias weights must lie in [0, {B_MAX}]")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
@@ -98,14 +96,6 @@ def _gains(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.maximum(parent - child, 0.0)
 
 
-def information_gain(matrix: FeatureMatrix, subset: Sequence[int], feature: int) -> float:
-    """Entropy gain of splitting `subset` on one feature."""
-    idx = np.asarray(subset, dtype=int)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    return float(_gains(matrix.values[idx][:, [feature]], matrix.labels[idx])[0])
-
-
 def selection_criterion(gain, bias, omega: float):
     """Cost-sensitive attribute score: (2**gain - 1) / (bias + 1)**omega."""
     return (np.power(2.0, gain) - 1.0) / np.power(np.asarray(bias, dtype=float) + 1.0, omega)
@@ -117,24 +107,23 @@ def _majority(labels: np.ndarray) -> str:
     return EAST if pos >= labels.size - pos else WEST
 
 
-def _grow(values, labels, idx, weights, omega, used):
+def _grow(values, labels, idx, weights, omega):
     y = labels[idx]
     pos = int(y.sum())
     if pos == 0 or pos == idx.size:
         return Leaf(EAST if pos else WEST, idx.size)
     gains = _gains(values[idx], y)
     scores = selection_criterion(gains, weights, omega)
-    scores = np.where(used | (gains <= _GAIN_EPS), -np.inf, scores)
+    # a feature already tested on the path is constant here, so its gain is 0
+    scores = np.where(gains <= _GAIN_EPS, -np.inf, scores)
     best = int(np.argmax(scores))
     if not np.isfinite(scores[best]):
         return Leaf(_majority(y), idx.size)
     col = values[idx, best]
-    used = used.copy()
-    used[best] = True
     return Node(
         best,
-        _grow(values, labels, idx[col], weights, omega, used),
-        _grow(values, labels, idx[~col], weights, omega, used),
+        _grow(values, labels, idx[col], weights, omega),
+        _grow(values, labels, idx[~col], weights, omega),
     )
 
 
@@ -147,8 +136,7 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector) -> Tree:
             f"bias has {bias.weights.size} weights for {matrix.n_features} features"
         )
     idx = np.arange(matrix.n_trains)
-    used = np.zeros(matrix.n_features, dtype=bool)
-    tree = _grow(matrix.values, matrix.labels, idx, bias.weights, bias.omega, used)
+    tree = _grow(matrix.values, matrix.labels, idx, bias.weights, bias.omega)
     return prune(tree, bias.cf, matrix)
 
 
@@ -235,28 +223,14 @@ def fitness(
     matrix: FeatureMatrix,
     costs: np.ndarray,
     error_cost: float = 1000.0,
-    per_example_cost: bool = False,
 ) -> FitnessReport:
-    """Score a tree: static test cost plus error_rate * error_cost.
-
-    With per_example_cost=True the test-cost term is instead the mean,
-    over the examples, of the cost of the tests on each example's path.
-    """
+    """Score a tree: static test cost plus error_rate * error_cost."""
     predictions = predict_all(tree, matrix)
     errors = int((predictions != matrix.labels).sum())
     rate = errors / matrix.n_trains if matrix.n_trains else 0.0
-    if per_example_cost:
-        total = 0.0
-        for i in range(matrix.n_trains):
-            node = tree
-            while isinstance(node, Node):
-                total += costs[node.feature]
-                node = node.on_true if matrix.values[i, node.feature] else node.on_false
-        cost = total / matrix.n_trains if matrix.n_trains else 0.0
-    else:
-        cost = test_cost(tree, costs)
+    cost = test_cost(tree, costs)
     return FitnessReport(
-        test_cost=test_cost(tree, costs),
+        test_cost=cost,
         error_count=errors,
         error_rate=rate,
         error_cost_param=error_cost,
@@ -296,14 +270,3 @@ def tree_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Tree:
 
 def tree_to_json(tree: Tree, table: Sequence[FeatureSpec]) -> str:
     return json.dumps(tree_to_dict(tree, table), indent=2) + "\n"
-
-
-def tree_to_text(tree: Tree, table: Sequence[FeatureSpec], indent: str = "") -> str:
-    """Indented text rendering, yes-branch first."""
-    if isinstance(tree, Leaf):
-        return f"{indent}-> {tree.label} ({tree.n_examples})\n"
-    spec = table[tree.feature]
-    out = f"{indent}{spec.name} [cost {spec.cost}]\n"
-    out += f"{indent}  yes:\n" + tree_to_text(tree.on_true, table, indent + "    ")
-    out += f"{indent}  no:\n" + tree_to_text(tree.on_false, table, indent + "    ")
-    return out

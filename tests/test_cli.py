@@ -174,3 +174,57 @@ def test_unknown_feature_spec_is_a_cli_error(capsys):
     code, _, err = run(capsys, ["features", "--features", "no-such-set"])
     assert code == 2
     assert "error:" in err
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda d: ["induce", "--data", TRAINS20, "--features", _write(d / "empty.txt", "")],
+        lambda d: ["induce", "--data", TRAINS20, "--features", _write(d / "bad.txt", "nope\n")],
+        lambda d: ["induce", "--data", TRAINS20, "--features", _write(d / "f.txt", b"\xff\n")],
+        lambda d: ["induce", "--data", _write(d / "bad.pl", NOT_UTF8)],
+        lambda d: ["induce", "--data", TRAINS20, "--error-cost", "nan"],
+        lambda d: ["induce", "--data", TRAINS20, "--error-cost", "inf"],
+        lambda d: ["induce", "--data", TRAINS20, "--pop-size", "0"],
+        lambda d: ["induce", "--data", TRAINS20, "--generations", "0"],
+        lambda d: ["induce", "--data", TRAINS20, "--seed", "-1"],
+        lambda d: ["multi", "--data", TRAINS20, "--features", _write(d / "empty.txt", "\n")],
+        lambda d: ["score", _write(d / "prog.pl", b"eastbound(T) :- \xff.\n")],
+        lambda d: ["agree", _write(d / "a.json", b"\xff"), _write(d / "b.json", "{}"), "--data", TRAINS20],
+        lambda d: ["agree", _write(d / "a.json", "[]"), _write(d / "b.json", "[]"), "--data", TRAINS20],
+        lambda d: ["gen-trains", "--count", "-1"],
+    ],
+    ids=[
+        "empty-features-file",
+        "unknown-feature-name",
+        "non-utf8-features-file",
+        "non-utf8-data",
+        "nan-error-cost",
+        "inf-error-cost",
+        "zero-pop-size",
+        "zero-generations",
+        "negative-seed",
+        "multi-empty-features-file",
+        "non-utf8-program",
+        "non-utf8-theory",
+        "theory-not-an-object",
+        "negative-count",
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    code, out, err = run(capsys, case(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

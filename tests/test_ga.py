@@ -67,6 +67,9 @@ def test_config_defaults():
         dict(mutation_rate=-0.1),
         dict(elitism_count=100),
         dict(error_cost=-1.0),
+        dict(error_cost=float("nan")),
+        dict(error_cost=float("inf")),
+        dict(rng_seed=-1),
     ],
 )
 def test_config_validation(kw):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eastwest.features import evaluate_features, feature_index
 from eastwest.theory import (
@@ -194,6 +196,23 @@ def test_complexity_rejects_bad_syntax():
         complexity("eastbound(T) :- ???")
     with pytest.raises(ProgramSyntaxError):
         complexity("eastbound(T) :- has_car(T, C)")  # missing final period
+    with pytest.raises(ProgramSyntaxError):
+        complexity("eastbound([T]).")  # lists are train syntax, not program syntax
+
+
+PROGRAM_PIECES = (
+    "eastbound", "has_car", "not", "T", "C", "4", "(", ")", "[", ",", ";", ".", ":-", " ", "\n", "%",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(PROGRAM_PIECES), max_size=40).map("".join)))
+def test_arbitrary_text_scores_or_raises_syntax_error(text):
+    try:
+        score = complexity(text)
+    except ProgramSyntaxError:
+        return
+    assert isinstance(score, int) and score >= 0
 
 
 # --- classification and agreement -------------------------------------------
@@ -205,6 +224,17 @@ def test_reference_theory_classifies_first_train(
     assert classify(simplified, trains20[0], full_table) == EAST
     for train in trains20:
         assert classify(simplified, train, full_table) == train.label
+
+
+def test_classify_matches_evaluate_dnf(reference_tree, matrix20, full_table):
+    raw = tree_to_dnf(reference_tree)
+    theories = (raw, simplify_dnf(raw, matrix20))
+    trains = random_trains(25, seed=1234)
+    matrix = evaluate_features(trains, full_table)
+    for theory in theories:
+        want = evaluate_dnf(theory.dnf, matrix.values)
+        got = [classify(theory, train, full_table) == EAST for train in trains]
+        assert got == list(want)
 
 
 def test_always_west_theory_classifies_everything_west(trains20, full_table):

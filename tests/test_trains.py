@@ -87,6 +87,32 @@ def test_unrelated_clauses_are_skipped():
     assert [t.id for t in trains] == ["east1"]
 
 
+def test_skipped_clause_may_contain_disjunction():
+    source = "foo :- a ; b.\n" + FIRST_TRAIN_FACT
+    assert [t.id for t in parse_trains(source)] == ["east1"]
+
+
+TRAIN_PIECES = (
+    "eastbound", "westbound", "c", "l", "rectangle", "short", "not_double", "none", "circle",
+    "X", "1", "2", "(", ")", "[", "]", ",", ".", ";", ":-", " ", "\n", "%",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TRAIN_PIECES), max_size=60).map("".join)))
+def test_arbitrary_text_parses_or_raises_format_error(text):
+    try:
+        trains = parse_trains(text)
+    except TrainFormatError:
+        return
+    assert all(isinstance(t, Train) for t in trains)
+
+
+def test_random_trains_rejects_negative_count():
+    with pytest.raises(ValueError):
+        random_trains(-1, seed=0)
+
+
 def test_ids_count_per_label_in_order():
     source = (
         "eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n"
@@ -127,13 +153,6 @@ def test_small_dataset_is_prefix_of_large(trains10, trains20):
     by_id = {t.id: t for t in trains20}
     for t in trains10:
         assert by_id[t.id] == t
-
-
-def test_open_closed_derived_from_roof():
-    open_car = Car(1, "rectangle", "short", "not_double", "none", 2, "circle", 1)
-    closed_car = Car(1, "rectangle", "short", "not_double", "flat", 2, "circle", 1)
-    assert open_car.is_open and not open_car.is_closed
-    assert closed_car.is_closed and not closed_car.is_open
 
 
 def test_render_car_text():
