@@ -90,9 +90,9 @@ def _run_one(data_file: str, args) -> dict:
             "n_features": len(table),
             "population_size": config.population_size,
             "generations": config.generations,
-            "crossover_rate": config.crossover_rate,
-            "mutation_rate": config.mutation_rate,
-            "elitism_count": config.elitism_count,
+            "crossover_rate": ga.CROSSOVER_RATE,
+            "mutation_rate": ga.MUTATION_RATE,
+            "elitism_count": ga.ELITISM_COUNT,
             "rng_seed": config.rng_seed,
             "error_cost": config.error_cost,
         },

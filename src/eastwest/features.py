@@ -7,42 +7,43 @@ via the infront relation (adjacent cars satisfy p and q respectively), and
 a handful of train-level predicates.  Each feature carries the
 size-complexity cost of the Prolog fragment that expresses it.
 
-Cost counting rule: a literal costs 1 + its arity (one for the predicate
-symbol plus one per argument occurrence, variables and constants alike);
-the `not` operator adds 1.  A feature's cost is the sum over its fragment's
-literals, including the scaffold literal (`has_car/2` or `infront/3`) that
+A feature's cost is the size of its fragment under the rule that also
+scores emitted programs (`trains.program_size`): one per atom, variable
+and integer, so a literal costs 1 + its arity and `not` adds 1.  The
+fragment includes the scaffold literal (`has_car/2` or `infront/3`) that
 binds the car variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .trains import Car, Train, EAST, LOAD_SHAPES
+from .trains import Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size
+
+
+# scaffold literals binding the car variables of a fragment
+HAS_CAR_TEMPLATE = "has_car(T, {0})"
+INFRONT_TEMPLATE = "infront(T, {0}, {1})"
+
+
+def _literal_size(template: str) -> int:
+    return program_size(_tokenize(template.format("X", "Y")))
 
 
 @dataclass(frozen=True)
-class CarPredicate:
-    """One of the 28 car predicates, with its cheapest literal form."""
+class Predicate:
+    """A car or train predicate, with its cheapest literal form and its size."""
 
     name: str
-    cost: int
-    template: str  # literal with {0} standing for the car variable
-    test: Callable[[Car], bool]
+    template: str  # literal with {0} standing for the car or train variable
+    test: Callable[[Car], bool] | Callable[[Train], bool]
+    cost: int = field(init=False)
 
-    def literal(self, var: str) -> str:
-        return self.template.format(var)
-
-
-@dataclass(frozen=True)
-class TrainPredicate:
-    name: str
-    cost: int
-    template: str  # literal with {0} standing for the train variable
-    test: Callable[[Train], bool]
+    def __post_init__(self):
+        object.__setattr__(self, "cost", _literal_size(self.template))
 
     def literal(self, var: str) -> str:
         return self.template.format(var)
@@ -69,38 +70,36 @@ def _load_count_test(n):
     return lambda c: c.load_count == n
 
 
-CAR_PREDICATES: tuple[CarPredicate, ...] = (
-    CarPredicate("ellipse", 2, "ellipse({0})", _shape_test("ellipse")),
-    CarPredicate("hexagon", 2, "hexagon({0})", _shape_test("hexagon")),
-    CarPredicate("rectangle", 2, "rectangle({0})", _shape_test("rectangle")),
-    CarPredicate("u_shaped", 2, "u_shaped({0})", _shape_test("u_shaped")),
-    CarPredicate("bucket", 2, "bucket({0})", _shape_test("bucket")),
-    CarPredicate("long", 2, "long({0})", lambda c: c.length == "long"),
-    CarPredicate("short", 2, "short({0})", lambda c: c.length == "short"),
-    CarPredicate("double", 2, "double({0})", lambda c: c.walls == "double"),
-    CarPredicate("not_double", 3, "not double({0})", lambda c: c.walls != "double"),
-    CarPredicate("open", 2, "open({0})", lambda c: c.roof == "none"),
-    CarPredicate("closed", 2, "closed({0})", lambda c: c.roof != "none"),
-    CarPredicate("no_roof", 4, "arg(5, {0}, none)", _roof_test("none")),
-    CarPredicate("flat_roof", 4, "arg(5, {0}, flat)", _roof_test("flat")),
-    CarPredicate("jagged_roof", 4, "arg(5, {0}, jagged)", _roof_test("jagged")),
-    CarPredicate("peaked_roof", 4, "arg(5, {0}, peaked)", _roof_test("peaked")),
-    CarPredicate("arc_roof", 4, "arg(5, {0}, arc)", _roof_test("arc")),
-    CarPredicate("two_axles", 4, "arg(6, {0}, 2)", _axle_test(2)),
-    CarPredicate("three_axles", 4, "arg(6, {0}, 3)", _axle_test(3)),
-    CarPredicate("circle_load", 3, "has_load0({0}, circle)", _load_shape_test("circle")),
-    CarPredicate("hexagon_load", 3, "has_load0({0}, hexagon)", _load_shape_test("hexagon")),
-    CarPredicate("rectangle_load", 3, "has_load0({0}, rectangle)", _load_shape_test("rectangle")),
-    CarPredicate("triangle_load", 3, "has_load0({0}, triangle)", _load_shape_test("triangle")),
-    CarPredicate("diamond_load", 3, "has_load0({0}, diamond)", _load_shape_test("diamond")),
-    CarPredicate("utriangle_load", 3, "has_load0({0}, utriangle)", _load_shape_test("utriangle")),
-    CarPredicate("no_load", 3, "has_load({0}, 0)", _load_count_test(0)),
-    CarPredicate("one_load", 3, "has_load({0}, 1)", _load_count_test(1)),
-    CarPredicate("two_load", 3, "has_load({0}, 2)", _load_count_test(2)),
-    CarPredicate("three_load", 3, "has_load({0}, 3)", _load_count_test(3)),
+CAR_PREDICATES: tuple[Predicate, ...] = (
+    Predicate("ellipse", "ellipse({0})", _shape_test("ellipse")),
+    Predicate("hexagon", "hexagon({0})", _shape_test("hexagon")),
+    Predicate("rectangle", "rectangle({0})", _shape_test("rectangle")),
+    Predicate("u_shaped", "u_shaped({0})", _shape_test("u_shaped")),
+    Predicate("bucket", "bucket({0})", _shape_test("bucket")),
+    Predicate("long", "long({0})", lambda c: c.length == "long"),
+    Predicate("short", "short({0})", lambda c: c.length == "short"),
+    Predicate("double", "double({0})", lambda c: c.walls == "double"),
+    Predicate("not_double", "not double({0})", lambda c: c.walls != "double"),
+    Predicate("open", "open({0})", lambda c: c.roof == "none"),
+    Predicate("closed", "closed({0})", lambda c: c.roof != "none"),
+    Predicate("no_roof", "arg(5, {0}, none)", _roof_test("none")),
+    Predicate("flat_roof", "arg(5, {0}, flat)", _roof_test("flat")),
+    Predicate("jagged_roof", "arg(5, {0}, jagged)", _roof_test("jagged")),
+    Predicate("peaked_roof", "arg(5, {0}, peaked)", _roof_test("peaked")),
+    Predicate("arc_roof", "arg(5, {0}, arc)", _roof_test("arc")),
+    Predicate("two_axles", "arg(6, {0}, 2)", _axle_test(2)),
+    Predicate("three_axles", "arg(6, {0}, 3)", _axle_test(3)),
+    Predicate("circle_load", "has_load0({0}, circle)", _load_shape_test("circle")),
+    Predicate("hexagon_load", "has_load0({0}, hexagon)", _load_shape_test("hexagon")),
+    Predicate("rectangle_load", "has_load0({0}, rectangle)", _load_shape_test("rectangle")),
+    Predicate("triangle_load", "has_load0({0}, triangle)", _load_shape_test("triangle")),
+    Predicate("diamond_load", "has_load0({0}, diamond)", _load_shape_test("diamond")),
+    Predicate("utriangle_load", "has_load0({0}, utriangle)", _load_shape_test("utriangle")),
+    Predicate("no_load", "has_load({0}, 0)", _load_count_test(0)),
+    Predicate("one_load", "has_load({0}, 1)", _load_count_test(1)),
+    Predicate("two_load", "has_load({0}, 2)", _load_count_test(2)),
+    Predicate("three_load", "has_load({0}, 3)", _load_count_test(3)),
 )
-
-CAR_PREDICATE_INDEX = {p.name: i for i, p in enumerate(CAR_PREDICATES)}
 
 
 def _train_len_test(n):
@@ -111,22 +110,18 @@ def _train_load_test(shape):
     return lambda t: any(c.load_shape == shape and c.load_count >= 1 for c in t.cars)
 
 
-TRAIN_PREDICATES: tuple[TrainPredicate, ...] = tuple(
+TRAIN_PREDICATES: tuple[Predicate, ...] = tuple(
     [
-        TrainPredicate(f"train_{n}", 3, f"len1({{0}}, {n})", _train_len_test(n))
+        Predicate(f"train_{n}", f"len1({{0}}, {n})", _train_len_test(n))
         for n in (2, 3, 4)
     ]
     + [
-        TrainPredicate(f"train_{s}", 3, f"has_load1({{0}}, {s})", _train_load_test(s))
+        Predicate(f"train_{s}", f"has_load1({{0}}, {s})", _train_load_test(s))
         for s in LOAD_SHAPES
     ]
 )
 
-TRAIN_PREDICATE_INDEX = {p.name: i for i, p in enumerate(TRAIN_PREDICATES)}
-
-# scaffold literal costs: has_car(T, C) and infront(T, C1, C2)
-HAS_CAR_COST = 3
-INFRONT_COST = 4
+PREDICATES = {p.name: p for p in CAR_PREDICATES + TRAIN_PREDICATES}
 
 
 # block offsets in predicate_vector()
@@ -161,9 +156,10 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     indices are always dense over the returned table.  Raises ValueError
     for unknown names or an empty selection.
     """
+    has_car, infront = _literal_size(HAS_CAR_TEMPLATE), _literal_size(INFRONT_TEMPLATE)
     specs: list[tuple[str, str, int, tuple[str, ...], int]] = []
     for i, p in enumerate(CAR_PREDICATES):
-        specs.append(("unary", p.name, HAS_CAR_COST + p.cost, (p.name,), i))
+        specs.append(("unary", p.name, has_car + p.cost, (p.name,), i))
     for i in range(_N_CAR):
         for j in range(i + 1, _N_CAR):
             p, q = CAR_PREDICATES[i], CAR_PREDICATES[j]
@@ -171,7 +167,7 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
                 (
                     "pair",
                     f"{p.name}_{q.name}",
-                    HAS_CAR_COST + p.cost + q.cost,
+                    has_car + p.cost + q.cost,
                     (p.name, q.name),
                     _SAME_CAR + i * _N_CAR + j,
                 )
@@ -183,7 +179,7 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
                 (
                     "infront",
                     f"{p.name}_infront_{q.name}",
-                    INFRONT_COST + p.cost + q.cost,
+                    infront + p.cost + q.cost,
                     (p.name, q.name),
                     _INFRONT + i * _N_CAR + j,
                 )

@@ -20,13 +20,15 @@ from .features import FeatureMatrix
 from .tree import BiasVector, FitnessReport, Tree, B_MAX, CF_MIN, CF_MAX, fitness, induce_tree, tree_signature
 
 
+CROSSOVER_RATE = 0.6
+MUTATION_RATE = 0.001
+ELITISM_COUNT = 1
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 50
     generations: int = 20
-    crossover_rate: float = 0.6
-    mutation_rate: float = 0.001
-    elitism_count: int = 1
     rng_seed: int = 0
     error_cost: float = 1000.0
 
@@ -35,12 +37,6 @@ class GaConfig:
             raise ValueError("population_size must be >= 1")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
-        if not 0 <= self.elitism_count <= self.population_size:
-            raise ValueError("elitism_count must lie in [0, population_size]")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if not (math.isfinite(self.error_cost) and self.error_cost >= 0):
@@ -110,8 +106,8 @@ def _crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
     return child_a, child_b
 
 
-def _mutate(genome: np.ndarray, rate: float, lows, highs, rng: np.random.Generator):
-    mask = rng.random(len(genome)) < rate
+def _mutate(genome: np.ndarray, lows, highs, rng: np.random.Generator):
+    mask = rng.random(len(genome)) < MUTATION_RATE
     if mask.any():
         genome = genome.copy()
         genome[mask] = rng.uniform(lows[mask], highs[mask])
@@ -156,25 +152,25 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
 
         order = np.argsort(fitnesses, kind="stable")
         probs = _rank_probabilities(fitnesses)
-        next_pop = [pop[i].copy() for i in order[: config.elitism_count]]
+        next_pop = [pop[i].copy() for i in order[:ELITISM_COUNT]]
         while len(next_pop) < config.population_size:
             pa, pb = rng.choice(config.population_size, size=2, p=probs)
             a, b = pop[pa], pop[pb]
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 a, b = _crossover(a, b, rng)
-            next_pop.append(_mutate(a, config.mutation_rate, lows, highs, rng))
+            next_pop.append(_mutate(a, lows, highs, rng))
             if len(next_pop) < config.population_size:
-                next_pop.append(_mutate(b, config.mutation_rate, lows, highs, rng))
+                next_pop.append(_mutate(b, lows, highs, rng))
         pop = np.array(next_pop)
 
     return EvolutionResult(best_tree, best_report, best_bias, history)
 
 
-def history_to_csv(history: Sequence[GenerationStats], delimiter: str = ",") -> str:
-    lines = [delimiter.join(["generation", "best", "mean", "best_test_cost", "best_errors"])]
+def history_to_csv(history: Sequence[GenerationStats]) -> str:
+    lines = ["generation,best,mean,best_test_cost,best_errors"]
     for h in history:
         lines.append(
-            delimiter.join(
+            ",".join(
                 [str(h.generation), repr(h.best), repr(h.mean), str(h.best_test_cost), str(h.best_errors)]
             )
         )

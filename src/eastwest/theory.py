@@ -3,9 +3,9 @@
 A tree becomes a DNF over features (one conjunction per path to an east
 leaf), gets greedily simplified against the training matrix, and is then
 rendered as an `eastbound/1` clause built from each feature's Prolog
-fragment.  The size of a program is the number of clause occurrences plus
-predicate, variable, constant and operator occurrences, which is the same
-counting rule that prices the features.
+fragment.  The size of a program is its count of `:-`, `;`, atom, variable
+and integer tokens (`trains.program_size`), the same rule that prices the
+features.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .features import (
-    CAR_PREDICATES,
-    CAR_PREDICATE_INDEX,
-    TRAIN_PREDICATES,
-    TRAIN_PREDICATE_INDEX,
+    HAS_CAR_TEMPLATE,
+    INFRONT_TEMPLATE,
+    PREDICATES,
     FeatureMatrix,
     FeatureSpec,
     predicate_vector,
 )
-from .trains import EAST, WEST, Train, TrainFormatError, _tokenize
+from .trains import EAST, WEST, Train, TrainFormatError, _Parser, program_size
 from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list
@@ -113,18 +112,15 @@ def _feature_literals(spec: FeatureSpec, car_var: str | None, names: _VarNames) 
     `car_var` is the hoisted car variable; when given, unary/pair features
     use it without their own has_car literal.
     """
+    preds = [PREDICATES[name] for name in spec.components]
     if spec.kind == "train":
-        pred = TRAIN_PREDICATES[TRAIN_PREDICATE_INDEX[spec.components[0]]]
-        return [pred.literal("T")]
+        return [preds[0].literal("T")]
     if spec.kind == "infront":
-        p = CAR_PREDICATES[CAR_PREDICATE_INDEX[spec.components[0]]]
-        q = CAR_PREDICATES[CAR_PREDICATE_INDEX[spec.components[1]]]
         v1, v2 = names.fresh(), names.fresh()
-        return [f"infront(T, {v1}, {v2})", p.literal(v1), q.literal(v2)]
-    preds = [CAR_PREDICATES[CAR_PREDICATE_INDEX[name]] for name in spec.components]
+        return [INFRONT_TEMPLATE.format(v1, v2), preds[0].literal(v1), preds[1].literal(v2)]
     if car_var is None:
         var = names.fresh()
-        lits = [f"has_car(T, {var})"]
+        lits = [HAS_CAR_TEMPLATE.format(var)]
     else:
         var = car_var
         lits = []
@@ -158,8 +154,8 @@ def _conjunction_text(
 def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     """Emit the theory as an eastbound/1 clause.
 
-    With two or more disjuncts that each bind a single car variable, the
-    shared `has_car(T, C)` is hoisted in front of the disjunction.
+    With two or more disjuncts that each bind a single car variable, one
+    shared has_car literal for car `C` is hoisted in front of the disjunction.
     """
     if not theory.dnf:
         return ""
@@ -184,7 +180,7 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     ]
     lines = ["eastbound(T) :-"]
     if hoist:
-        lines.append("    has_car(T, C),")
+        lines.append(f"    {HAS_CAR_TEMPLATE.format(hoisted_var)},")
     lines.append("    (" + " ;\n    ".join(disjuncts) + ").")
     return "\n".join(lines) + "\n"
 
@@ -202,53 +198,18 @@ class ProgramSyntaxError(ValueError):
     pass
 
 
-class _Counter:
-    def __init__(self):
-        self.clauses = 0
-        self.predicates = 0
-        self.variables = 0
-        self.constants = 0
-        self.operators = 0
-
-    @property
-    def total(self):
-        return self.clauses + self.predicates + self.variables + self.constants + self.operators
-
-
-class _ProgParser:
-    """Recursive-descent parser for the emitter's restricted output grammar."""
-
-    def __init__(self, tokens, counter):
-        self.tokens = tokens
-        self.i = 0
-        self.c = counter
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", None, None)
-
-    def next(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ProgramSyntaxError("unexpected end of program")
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ProgramSyntaxError(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
+class _ProgParser(_Parser):
+    """Syntax check for the emitter's restricted output grammar."""
 
     def parse_program(self):
         while self.peek()[0] is not None:
             self.parse_unit()
 
     def parse_unit(self):
-        # a unit with ':-' is a clause; a bare comma-list is a fragment (0 clauses)
+        # a unit with ':-' is a clause; a bare comma-list is a fragment
         self.parse_literal()
         if self.peek()[0] == "neck":
             self.next()
-            self.c.clauses += 1
             self.parse_body()
         else:
             while self.peek()[0] == ",":
@@ -260,7 +221,6 @@ class _ProgParser:
         self.parse_conjunction()
         while self.peek()[0] == ";":
             self.next()
-            self.c.operators += 1
             self.parse_conjunction()
 
     def parse_conjunction(self):
@@ -270,26 +230,18 @@ class _ProgParser:
             self.parse_primary()
 
     def parse_primary(self):
-        kind, text, _, _ = self.peek()
-        if kind == "(":
+        if self.peek()[0] == "(":
             self.next()
             self.parse_body()
             self.expect(")")
-        elif kind == "atom" and text == "not":
-            self.next()
-            self.c.operators += 1
-            self.parse_primary()
         else:
             self.parse_literal()
 
     def parse_literal(self):
         tok = self.expect("atom")
         if tok[1] == "not":
-            self.c.operators += 1
             self.parse_primary()
-            return
-        self.c.predicates += 1
-        if self.peek()[0] == "(":
+        elif self.peek()[0] == "(":
             self.next()
             self.parse_arg()
             while self.peek()[0] == ",":
@@ -298,30 +250,28 @@ class _ProgParser:
             self.expect(")")
 
     def parse_arg(self):
-        kind = self.next()[0]
-        if kind == "var":
-            self.c.variables += 1
-        elif kind in ("int", "atom"):
-            self.c.constants += 1
-        else:
-            raise ProgramSyntaxError(f"expected an argument, found {kind!r}")
+        tok = self.next()
+        if tok[0] not in ("var", "int", "atom"):
+            raise self.error(f"expected an argument, found {tok[0]!r}", tok)
 
 
 def complexity(program_text: str) -> int:
-    """Size of a program: clauses + predicates + variables + constants + operators.
+    """Size of a program: its count of `:-`, `;`, atom, variable and integer tokens.
 
-    Units without `:-` are scored as bodiless fragments (zero clause
-    occurrences), matching how individual feature fragments are priced.
+    This counts every clause, operator (`;`, `not`), predicate, variable and
+    constant occurrence.  Units without `:-` are bodiless fragments, which
+    is how individual feature fragments are priced.  Raises
+    ProgramSyntaxError, naming a line and a column, for text outside the
+    emitter's grammar.
     """
     try:
-        tokens = _tokenize(program_text)
+        parser = _ProgParser(program_text)
+        parser.parse_program()
     except TrainFormatError as exc:
         raise ProgramSyntaxError(str(exc)) from None
-    if not tokens:
-        return 0
-    counter = _Counter()
-    _ProgParser(tokens, counter).parse_program()
-    return counter.total
+    except RecursionError:
+        raise ProgramSyntaxError("the program is nested too deeply") from None
+    return program_size(parser.tokens)
 
 
 # --- evaluation ------------------------------------------------------------

@@ -88,7 +88,7 @@ class Train:
         return len(self.cars)
 
 
-# --- tokenizer (shared with the program scorer) and ground-term parser ------
+# --- tokenizer and token cursor (shared with the program scorer) ----------
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -98,74 +98,94 @@ _TOKEN_RE = re.compile(
       | (?P<atom>[a-z][A-Za-z0-9_]*)
       | (?P<var>[A-Z_][A-Za-z0-9_]*)
       | (?P<punct>[()\[\],.;])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# what peek() returns past the last token
+_END = (None, "", 0)
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
 
 def _tokenize(source: str):
-    line, col = 1, 1
-    pos = 0
+    """Tokens as (kind, text, offset); punctuation is its own kind."""
     tokens = []
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise TrainFormatError(f"unexpected character {source[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        if kind == "bad":
+            raise TrainFormatError(f"unexpected character {m.group()!r}", *_position(source, m.start()))
         text = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "punct":
-                kind = text
-            tokens.append((kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
+        if kind == "punct":
+            kind = text
+        tokens.append((kind, text, m.start()))
     return tokens
 
 
+_SIZED_KINDS = frozenset(("neck", ";", "atom", "var", "int"))
+
+
+def program_size(tokens) -> int:
+    """Size-complexity of tokenized Prolog text: its count of `:-`, `;`, atom,
+    variable and integer tokens.
+
+    In well-formed text each of these is one clause, operator (`;` or
+    `not`), predicate, variable or constant occurrence.  The same count
+    scores emitted programs and prices every feature.
+    """
+    return sum(tok[0] in _SIZED_KINDS for tok in tokens)
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.i = 0
 
+    def error(self, message: str, tok) -> TrainFormatError:
+        return TrainFormatError(message, *_position(self.source, tok[2]))
+
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i] if self.i < len(self.tokens) else _END
 
     def next(self):
         tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise TrainFormatError("unexpected end of input", last[2], last[3])
+        if tok is _END:
+            raise self.error("unexpected end of input", self.tokens[-1] if self.tokens else _END)
         self.i += 1
         return tok
 
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise TrainFormatError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
         return tok
 
     def parse_term(self):
         """Ground term: integer, atom, or compound atom(arg, ...)."""
         tok = self.next()
         if tok[0] == "int":
-            return int(tok[1]), tok
+            try:
+                return int(tok[1])
+            except ValueError:  # beyond the interpreter's int-conversion limit
+                raise self.error(f"integer of {len(tok[1])} digits is too long", tok) from None
         if tok[0] != "atom":
-            raise TrainFormatError(f"expected a ground term, found {tok[1]!r}", tok[2], tok[3])
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "(":
+            raise self.error(f"expected a ground term, found {tok[1]!r}", tok)
+        if self.peek()[0] == "(":
             self.next()
-            args = [self.parse_term()[0]]
-            while self.peek() is not None and self.peek()[0] == ",":
+            args = [self.parse_term()]
+            while self.peek()[0] == ",":
                 self.next()
-                args.append(self.parse_term()[0])
+                args.append(self.parse_term())
             self.expect(")")
-            return (tok[1], tuple(args)), tok
-        return tok[1], tok
+            return tok[1], tuple(args)
+        return tok[1]
 
     def skip_clause(self):
         """Skip tokens up to and including the next clause-terminating '.'."""
@@ -175,29 +195,25 @@ class _Parser:
                 return
 
 
-def _car_from_term(term, tok) -> Car:
-    line, col = tok[2], tok[3]
+def _car_from_term(term) -> Car:
     if not (isinstance(term, tuple) and term[0] == "c"):
-        raise TrainFormatError(f"expected a c/7 car term, found {term!r}", line, col)
+        raise TrainFormatError(f"expected a c/7 car term, found {term!r}")
     args = term[1]
     if len(args) != 7:
-        raise TrainFormatError(f"car term has arity {len(args)}, expected 7", line, col)
+        raise TrainFormatError(f"car term has arity {len(args)}, expected 7")
     pos, shape, length, walls, roof, axles, load = args
     if not isinstance(pos, int):
-        raise TrainFormatError(f"car position must be an integer, got {pos!r}", line, col)
+        raise TrainFormatError(f"car position must be an integer, got {pos!r}")
     if not isinstance(axles, int):
-        raise TrainFormatError(f"axle count must be an integer, got {axles!r}", line, col)
+        raise TrainFormatError(f"axle count must be an integer, got {axles!r}")
     if not (isinstance(load, tuple) and load[0] == "l"):
-        raise TrainFormatError(f"expected an l/2 load term, found {load!r}", line, col)
+        raise TrainFormatError(f"expected an l/2 load term, found {load!r}")
     if len(load[1]) != 2:
-        raise TrainFormatError(f"load term has arity {len(load[1])}, expected 2", line, col)
+        raise TrainFormatError(f"load term has arity {len(load[1])}, expected 2")
     load_shape, load_count = load[1]
     if not isinstance(load_count, int):
-        raise TrainFormatError(f"load count must be an integer, got {load_count!r}", line, col)
-    try:
-        return Car(pos, shape, length, walls, roof, axles, load_shape, load_count)
-    except TrainFormatError as exc:
-        raise TrainFormatError(str(exc), line, col) from None
+        raise TrainFormatError(f"load count must be an integer, got {load_count!r}")
+    return Car(pos, shape, length, walls, roof, axles, load_shape, load_count)
 
 
 def parse_trains(source: str) -> list[Train]:
@@ -206,28 +222,36 @@ def parse_trains(source: str) -> list[Train]:
     Unrelated clauses are skipped.  Ids are assigned east1.., west1.. per
     label in order of appearance.
     """
-    parser = _Parser(_tokenize(source))
+    try:
+        return _parse_facts(_Parser(source))
+    except RecursionError:
+        raise TrainFormatError("terms are nested too deeply") from None
+
+
+def _parse_facts(parser: _Parser) -> list[Train]:
     trains: list[Train] = []
     counts = {EAST: 0, WEST: 0}
-    while parser.peek() is not None:
-        tok = parser.peek()
+    while parser.peek() is not _END:
+        tok = parser.next()
         if tok[0] == "atom" and tok[1] in ("eastbound", "westbound"):
-            head = parser.next()
-            nxt = parser.peek()
-            if nxt is None or nxt[0] != "(":
+            if parser.peek()[0] != "(":
                 # a bare atom or something else; not a train fact
                 parser.skip_clause()
                 continue
-            label = EAST if head[1] == "eastbound" else WEST
+            label = EAST if tok[1] == "eastbound" else WEST
             parser.expect("(")
             parser.expect("[")
             cars = []
-            term, ttok = parser.parse_term()
-            cars.append(_car_from_term(term, ttok))
-            while parser.peek() is not None and parser.peek()[0] == ",":
+            while True:
+                term_tok = parser.peek()
+                term = parser.parse_term()
+                try:
+                    cars.append(_car_from_term(term))
+                except TrainFormatError as exc:
+                    raise parser.error(str(exc), term_tok) from None
+                if parser.peek()[0] != ",":
+                    break
                 parser.next()
-                term, ttok = parser.parse_term()
-                cars.append(_car_from_term(term, ttok))
             parser.expect("]")
             parser.expect(")")
             parser.expect(".")
@@ -236,11 +260,9 @@ def parse_trains(source: str) -> list[Train]:
             try:
                 trains.append(Train(train_id, label, tuple(cars)))
             except TrainFormatError as exc:
-                raise TrainFormatError(f"{train_id}: {exc}", head[2], head[3]) from None
-        else:
-            parser.next()
-            if tok[0] != ".":
-                parser.skip_clause()
+                raise parser.error(f"{train_id}: {exc}", tok) from None
+        elif tok[0] != ".":
+            parser.skip_clause()
     return trains
 
 
@@ -268,12 +290,12 @@ def load_trains(path) -> list[Train]:
         return parse_trains(fh.read())
 
 
-def random_trains(count: int, seed: int, labels: bool = True) -> list[Train]:
+def random_trains(count: int, seed: int) -> list[Train]:
     """Generate `count` random trains, 2-4 cars, uniform over car attributes.
 
     These are synthetic stand-ins for experiments; they are not the
-    challenge trains.  Labels (when requested) are assigned uniformly at
-    random and carry no hidden rule.
+    challenge trains.  Labels are assigned uniformly at random and carry
+    no hidden rule.
     """
     import numpy as np
 
@@ -298,7 +320,7 @@ def random_trains(count: int, seed: int, labels: bool = True) -> list[Train]:
                     load_count=int(rng.integers(0, 4)),
                 )
             )
-        label = EAST if (not labels or rng.random() < 0.5) else WEST
+        label = EAST if rng.random() < 0.5 else WEST
         counts[label] += 1
         trains.append(Train(f"{label}{counts[label]}", label, tuple(cars)))
     return trains

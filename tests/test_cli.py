@@ -204,6 +204,9 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         lambda d: ["agree", _write(d / "a.json", b"\xff"), _write(d / "b.json", "{}"), "--data", TRAINS20],
         lambda d: ["agree", _write(d / "a.json", "[]"), _write(d / "b.json", "[]"), "--data", TRAINS20],
         lambda d: ["gen-trains", "--count", "-1"],
+        lambda d: ["induce", "--data", _write(d / "long.pl", f"eastbound([c({'9' * 5000}, x)]).\n")],
+        lambda d: ["induce", "--data", _write(d / "deep.pl", f"eastbound([{'c(' * 3000}1{')' * 3000}]).\n")],
+        lambda d: ["score", _write(d / "deep.pl", f"eastbound(T) :- {'not ' * 3000}short(T).\n")],
     ],
     ids=[
         "empty-features-file",
@@ -220,6 +223,9 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "non-utf8-theory",
         "theory-not-an-object",
         "negative-count",
+        "over-long-integer",
+        "deep-term-nesting",
+        "deep-program-nesting",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):

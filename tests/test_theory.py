@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,20 @@ from eastwest.theory import (
     tree_to_dnf,
 )
 from eastwest.trains import random_trains
-from eastwest.tree import EAST, WEST, BiasVector, Leaf, Node, induce_tree, predict_all
+from eastwest.tree import (
+    B_MAX,
+    CF_MAX,
+    CF_MIN,
+    EAST,
+    WEST,
+    BiasVector,
+    Leaf,
+    induce_tree,
+    predict_all,
+    tree_from_dict,
+    tree_signature,
+    tree_to_json,
+)
 
 REFERENCE_PROGRAM = (
     "eastbound(T) :-\n"
@@ -200,6 +215,12 @@ def test_complexity_rejects_bad_syntax():
         complexity("eastbound([T]).")  # lists are train syntax, not program syntax
 
 
+def test_syntax_error_names_line_and_column():
+    with pytest.raises(ProgramSyntaxError) as exc:
+        complexity("eastbound(T) :-\n    has_car(T, C), [C].\n")
+    assert str(exc.value) == "line 2, column 20: expected 'atom', found '['"
+
+
 PROGRAM_PIECES = (
     "eastbound", "has_car", "not", "T", "C", "4", "(", ")", "[", ",", ";", ".", ":-", " ", "\n", "%",
 )
@@ -270,3 +291,38 @@ def test_theory_json_round_trip(reference_tree, matrix20, full_table):
     assert back.dnf == simplified.dnf
     assert back.rendered == simplified.rendered
     assert back.complexity == simplified.complexity
+
+
+def leaf_counts(tree):
+    if isinstance(tree, Leaf):
+        return [tree.n_examples]
+    return leaf_counts(tree.on_true) + leaf_counts(tree.on_false)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 40))
+def test_tree_and_theory_json_round_trip(full_table, seed, count):
+    trains = random_trains(count, seed)
+    matrix = evaluate_features(trains, full_table)
+    rng = np.random.default_rng(seed)
+    bias = BiasVector(
+        rng.uniform(0, B_MAX, matrix.n_features),
+        float(rng.uniform(0, 1)),
+        float(rng.uniform(CF_MIN, CF_MAX)),
+    )
+    tree = induce_tree(matrix, bias)
+    text = tree_to_json(tree, full_table)
+    back = tree_from_dict(json.loads(text), full_table)
+    assert tree_to_json(back, full_table) == text
+    assert tree_signature(back) == tree_signature(tree)
+    assert leaf_counts(back) == leaf_counts(tree)
+
+    theory = finalize(simplify_dnf(tree_to_dnf(tree), matrix), full_table)
+    text = theory_to_json(theory, full_table)
+    back = theory_from_json(text, full_table)
+    assert (back.dnf, back.rendered, back.complexity) == (
+        theory.dnf,
+        theory.rendered,
+        theory.complexity,
+    )
+    assert theory_to_json(back, full_table) == text

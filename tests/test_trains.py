@@ -74,6 +74,23 @@ def test_syntax_error_carries_position():
     assert exc.value.column is not None
 
 
+@pytest.mark.parametrize(
+    "line3,column,message",
+    [
+        ("  eastbound([c(1, ?", 19, "unexpected character '?'"),
+        ("    eastbound([c(1,rectangle,short,not_double,none,2)]).", 16,
+         "car term has arity 6, expected 7"),
+        ("westbound([c(" + "7" * 5000 + ",", 14, "integer of 5000 digits is too long"),
+    ],
+    ids=["unexpected-character", "car-arity", "over-long-integer"],
+)
+def test_errors_carry_line_and_column(line3, column, message):
+    with pytest.raises(TrainFormatError) as exc:
+        parse_trains("% header\n\n" + line3 + "\n")
+    assert (exc.value.line, exc.value.column) == (3, column)
+    assert str(exc.value) == f"line 3, column {column}: {message}"
+
+
 def test_unrelated_clauses_are_skipped():
     source = (
         "% comment line\n"
