@@ -76,9 +76,10 @@ def evaluate_individual(
     costs: np.ndarray,
     config: GaConfig,
     _cache: dict | None = None,
+    _gains_memo: dict | None = None,
 ) -> tuple[Tree, FitnessReport]:
     """Induce and score the tree for one bias vector."""
-    tree = induce_tree(matrix, bias)
+    tree = induce_tree(matrix, bias, _gains_memo)
     key = tree_signature(tree)
     if _cache is not None and key in _cache:
         return tree, _cache[key]
@@ -122,6 +123,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
     pop = rng.uniform(lows, highs, size=(config.population_size, n + 2))
 
     cache: dict = {}
+    gains_memo: dict = {}  # see induce_tree; lives as long as this run
     best_tree = None
     best_report = None
     best_bias = None
@@ -131,7 +133,9 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
         evals = []
         for genome in pop:
             bias = genome_to_bias(genome)
-            evals.append(evaluate_individual(bias, matrix, costs, config, _cache=cache))
+            evals.append(
+                evaluate_individual(bias, matrix, costs, config, _cache=cache, _gains_memo=gains_memo)
+            )
         fitnesses = np.array([rep.fitness for _, rep in evals])
         gen_best = int(np.argmin(fitnesses))
         gen_tree, gen_report = evals[gen_best]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .features import FeatureMatrix, FeatureSpec
 from .trains import EAST, WEST
@@ -107,12 +107,16 @@ def _majority(labels: np.ndarray) -> str:
     return EAST if pos >= labels.size - pos else WEST
 
 
-def _grow(values, labels, idx, weights, omega):
+def _grow(values, labels, idx, weights, omega, gains_memo):
     y = labels[idx]
     pos = int(y.sum())
     if pos == 0 or pos == idx.size:
         return Leaf(EAST if pos else WEST, idx.size)
-    gains = _gains(values[idx], y)
+    # gains depend only on which examples reach the node, never on the bias
+    key = idx.tobytes()
+    gains = gains_memo.get(key)
+    if gains is None:
+        gains = gains_memo[key] = _gains(values[idx], y)
     scores = selection_criterion(gains, weights, omega)
     # a feature already tested on the path is constant here, so its gain is 0
     scores = np.where(gains <= _GAIN_EPS, -np.inf, scores)
@@ -122,13 +126,18 @@ def _grow(values, labels, idx, weights, omega):
     col = values[idx, best]
     return Node(
         best,
-        _grow(values, labels, idx[col], weights, omega),
-        _grow(values, labels, idx[~col], weights, omega),
+        _grow(values, labels, idx[col], weights, omega, gains_memo),
+        _grow(values, labels, idx[~col], weights, omega, gains_memo),
     )
 
 
-def induce_tree(matrix: FeatureMatrix, bias: BiasVector) -> Tree:
-    """Grow a tree under the given bias, then prune it at bias.cf."""
+def induce_tree(matrix: FeatureMatrix, bias: BiasVector, gains_memo: dict | None = None) -> Tree:
+    """Grow a tree under the given bias, then prune it at bias.cf.
+
+    `gains_memo` maps an example subset (its index bytes) to its gains and
+    belongs to one matrix: `ga.evolve` shares one across its run; by
+    default each call starts a fresh one.
+    """
     if matrix.n_trains == 0:
         raise ValueError("matrix must contain at least one example")
     if bias.weights.size != matrix.n_features:
@@ -136,7 +145,8 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector) -> Tree:
             f"bias has {bias.weights.size} weights for {matrix.n_features} features"
         )
     idx = np.arange(matrix.n_trains)
-    tree = _grow(matrix.values, matrix.labels, idx, bias.weights, bias.omega)
+    memo = {} if gains_memo is None else gains_memo
+    tree = _grow(matrix.values, matrix.labels, idx, bias.weights, bias.omega, memo)
     return prune(tree, bias.cf, matrix)
 
 
@@ -150,7 +160,8 @@ def pessimistic_upper_bound(errors: int, n: int, cf: float) -> float:
         return 0.0
     if errors >= n:
         return 1.0
-    return float(beta_dist.ppf(1.0 - cf / 100.0, errors + 1, n - errors))
+    # the beta quantile; scipy.special has it without importing scipy.stats (~1 s)
+    return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))
 
 
 def _prune(node, cf, values, labels, idx):
@@ -258,14 +269,14 @@ def tree_to_dict(tree: Tree, table: Sequence[FeatureSpec]) -> dict:
 
 
 def tree_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Tree:
-    if "leaf" in data:
-        return Leaf(data["leaf"], data.get("n", 0))
     by_name = {s.name: s.index for s in table}
-    return Node(
-        by_name[data["feature"]],
-        tree_from_dict(data["yes"], table),
-        tree_from_dict(data["no"], table),
-    )
+
+    def build(node: dict) -> Tree:
+        if "leaf" in node:
+            return Leaf(node["leaf"], node.get("n", 0))
+        return Node(by_name[node["feature"]], build(node["yes"]), build(node["no"]))
+
+    return build(data)
 
 
 def tree_to_json(tree: Tree, table: Sequence[FeatureSpec]) -> str:

@@ -136,3 +136,83 @@ def binomial_upper_bound(errors: int, n: int, cf: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# --- unmemoized tree induction ----------------------------------------------
+
+def reference_induce(matrix, bias):
+    """Grow and prune a tree with gains recomputed at every node and the
+    pessimistic bound taken from `scipy.stats.beta.ppf`.
+
+    The gain arithmetic is the package's, term for term, so gains agree bit
+    for bit and argmax ties break the same way; only the memo and the
+    bound's implementation differ from the package's path.
+    """
+    import numpy as np
+    from scipy.stats import beta
+
+    from eastwest.tree import Leaf, Node
+
+    values, labels = matrix.values, matrix.labels
+
+    def entropy(pos, n):
+        pos = np.asarray(pos, dtype=float)
+        n = np.asarray(n, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
+            h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
+                  + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
+        return np.where(n > 0, h, 0.0)
+
+    def gains(x, y):
+        m = x.shape[0]
+        pos = y.sum()
+        n1 = x.sum(axis=0)
+        pos1 = x[y].sum(axis=0) if pos else np.zeros(x.shape[1])
+        n0 = m - n1
+        child = (n1 / m) * entropy(pos1, n1) + (n0 / m) * entropy(pos - pos1, n0)
+        return np.maximum(entropy(pos, m) - child, 0.0)
+
+    def majority(y):
+        pos = int(y.sum())
+        return "east" if pos >= y.size - pos else "west"
+
+    def grow(idx):
+        y = labels[idx]
+        pos = int(y.sum())
+        if pos == 0 or pos == idx.size:
+            return Leaf("east" if pos else "west", idx.size)
+        g = gains(values[idx], y)
+        scores = (2.0 ** g - 1.0) / (bias.weights + 1.0) ** bias.omega
+        scores = np.where(g <= 1e-12, -np.inf, scores)
+        best = int(np.argmax(scores))
+        if not np.isfinite(scores[best]):
+            return Leaf(majority(y), idx.size)
+        col = values[idx, best]
+        return Node(best, grow(idx[col]), grow(idx[~col]))
+
+    def bound(errors, n):
+        if n == 0:
+            return 0.0
+        if errors >= n:
+            return 1.0
+        return float(beta.ppf(1.0 - bias.cf / 100.0, errors + 1, n - errors))
+
+    def prune(node, idx):
+        y = labels[idx]
+        if isinstance(node, Leaf):
+            errors = int((y != (node.label == "east")).sum())
+            return Leaf(node.label, idx.size), idx.size * bound(errors, idx.size)
+        if idx.size == 0:
+            return node, 0.0
+        col = values[idx, node.feature]
+        on_true, est_t = prune(node.on_true, idx[col])
+        on_false, est_f = prune(node.on_false, idx[~col])
+        label = majority(y)
+        leaf_est = idx.size * bound(int((y != (label == "east")).sum()), idx.size)
+        if leaf_est < est_t + est_f:
+            return Leaf(label, idx.size), leaf_est
+        return Node(node.feature, on_true, on_false), est_t + est_f
+
+    everyone = np.arange(matrix.n_trains)
+    return prune(grow(everyone), everyone)[0]

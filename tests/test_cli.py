@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eastwest
 from eastwest.cli import data_path, main
 from eastwest.features import build_feature_table, feature_index
 from eastwest.theory import Theory, finalize, theory_to_json
@@ -234,3 +239,14 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes about a second to import; the pruning bound uses
+    # scipy.special alone, and start-up time should stay that way
+    src = str(Path(eastwest.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, eastwest.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eastwest.ga
 from eastwest.features import build_feature_table, evaluate_features
 from eastwest.ga import (
     CROSSOVER_RATE,
@@ -12,8 +13,10 @@ from eastwest.ga import (
     genome_to_bias,
     history_to_csv,
 )
-from eastwest.trains import Car, Train
+from eastwest.trains import Car, Train, random_trains
 from eastwest.tree import BiasVector, fitness, induce_tree, tree_signature
+
+from oracles import reference_induce
 
 
 def two_car(label, i, roof="none"):
@@ -183,3 +186,34 @@ def test_history_to_csv_round_figures(easy_problem):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == result.history[0].best
+
+
+def test_evolved_trees_match_unmemoized_reference(monkeypatch, matrix20, full_table, costs20):
+    """Every tree an evolve run induces, with one gains memo shared across
+    the run, equals the tree grown without a memo."""
+    induce = eastwest.ga.induce_tree
+    calls = []  # (matrix, bias, gains memo, tree) of every induction
+
+    def recording(matrix, bias, gains_memo):
+        tree = induce(matrix, bias, gains_memo)
+        calls.append((matrix, bias, gains_memo, tree))
+        return tree
+
+    monkeypatch.setattr(eastwest.ga, "induce_tree", recording)
+    random120 = evaluate_features(random_trains(120, 0), full_table)
+    # same example indices as trains20: a memo that outlived its run would
+    # hand trains20's gains to this matrix, starting at the root
+    random20 = evaluate_features(random_trains(20, 1), full_table)
+    memos = []
+    for matrix, seed in [(matrix20, 0), (matrix20, 1), (random120, 0), (random20, 0)]:
+        start = len(calls)
+        evolve(matrix, costs20, small_config(population_size=8, generations=4, rng_seed=seed))
+        assert len(calls) - start == 8 * 4
+        assert all(c[2] is calls[start][2] for c in calls[start:])
+        memos.append(calls[start][2])
+    assert len({id(m) for m in memos}) == len(memos)  # a new memo for each run
+
+    for matrix, bias, _, tree in calls:
+        want = reference_induce(matrix, bias)
+        assert tree_signature(tree) == tree_signature(want)
+        assert tree == want  # Leaf equality also compares n_examples

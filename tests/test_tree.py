@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import beta
 
 from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features
 from eastwest.trains import random_trains
@@ -259,6 +260,17 @@ def test_pessimistic_bound_matches_exact_binomial(errors, n, cf):
     )
 
 
+def test_pessimistic_bound_equals_beta_ppf_exactly():
+    rng = np.random.default_rng(0)
+    cfs = np.concatenate([[1.0, 100.0], rng.uniform(1.0, 100.0, 10)])
+    pairs = [(e, n) for n in [*range(1, 31), 100, 300] for e in range(n)]
+    errors, n = (np.array(v) for v in zip(*pairs))
+    for cf in cfs:
+        want = beta.ppf(1 - cf / 100, errors + 1, n - errors)
+        got = [pessimistic_upper_bound(int(e), int(k), float(cf)) for e, k in pairs]
+        assert np.array_equal(got, want), cf
+
+
 def test_pessimistic_bound_edge_cases():
     assert pessimistic_upper_bound(0, 0, 50) == 0.0
     assert pessimistic_upper_bound(3, 3, 50) == 1.0
@@ -385,6 +397,9 @@ def test_tree_dict_round_trip(reference_tree, full_table):
     back = tree_from_dict(data, full_table)
     assert tree_signature(back) == tree_signature(reference_tree)
     assert data["feature"] == "short_closed"
+    data["no"]["feature"] = "no_such_feature"
+    with pytest.raises(KeyError):
+        tree_from_dict(data, full_table)
 
 
 def test_induction_on_real_data_is_consistent(matrix20, costs20):
