@@ -33,6 +33,16 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: Path, text: str, mkdir: bool = False) -> None:
+    """Write `text` to `path`; with `mkdir`, create its directory first."""
+    try:
+        if mkdir:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _load_table(spec: str):
     if spec in ("full", "unary-train", "unary_train"):
         return features.build_feature_table("unary_train" if spec != "full" else "full")
@@ -139,17 +149,16 @@ def _report_text(report: dict) -> str:
 
 
 def _emit(outdir: Path, bundle: dict, fmt: str):
-    outdir.mkdir(parents=True, exist_ok=True)
     table = bundle["table"]
     result = bundle["result"]
     report = bundle["report"]
-    (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n", mkdir=True)
     if fmt == "text":
-        (outdir / "report.txt").write_text(_report_text(report))
-    (outdir / "tree.json").write_text(tree_mod.tree_to_json(result.best_tree, table))
-    (outdir / "history.csv").write_text(ga.history_to_csv(result.history))
-    (outdir / "program.pl").write_text(report["program"])
-    (outdir / "theory.json").write_text(theory_mod.theory_to_json(bundle["theory"], table))
+        _write_text(outdir / "report.txt", _report_text(report))
+    _write_text(outdir / "tree.json", tree_mod.tree_to_json(result.best_tree, table))
+    _write_text(outdir / "history.csv", ga.history_to_csv(result.history))
+    _write_text(outdir / "program.pl", report["program"])
+    _write_text(outdir / "theory.json", theory_mod.theory_to_json(bundle["theory"], table))
 
 
 def cmd_induce(args) -> int:
@@ -177,6 +186,9 @@ def cmd_multi(args) -> int:
         "total_complexity": total,
         "total_errors": errors,
     }
+    if args.emit_dir:
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        _write_text(Path(args.emit_dir) / "summary.json", text)
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -185,10 +197,6 @@ def cmd_multi(args) -> int:
             print("-" * 40)
         print(f"total complexity: {total}")
         print(f"total errors: {errors}")
-    if args.emit_dir:
-        (Path(args.emit_dir) / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
     return 0 if errors == 0 else 1
 
 
@@ -239,7 +247,7 @@ def cmd_gen_trains(args) -> int:
         raise CliError(str(exc)) from None
     text = trains_mod.render_trains(generated)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(Path(args.out), text)
     else:
         print(text, end="")
     return 0
@@ -254,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ga_args(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pop-size", type=int, default=50)
-        p.add_argument("--generations", type=int, default=20)
-        p.add_argument("--error-cost", type=float, default=1000.0)
+        p.add_argument("--seed", type=int, default=ga.GaConfig.rng_seed)
+        p.add_argument("--pop-size", type=int, default=ga.GaConfig.population_size)
+        p.add_argument("--generations", type=int, default=ga.GaConfig.generations)
+        p.add_argument("--error-cost", type=float, default=ga.GaConfig.error_cost)
         p.add_argument(
             "--features",
             default="full",

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import FeatureMatrix
-from .tree import BiasVector, FitnessReport, Tree, B_MAX, CF_MIN, CF_MAX, fitness, induce_tree, tree_signature
+from .tree import BiasVector, FitnessReport, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, fitness, induce_tree, tree_signature
 
 
 CROSSOVER_RATE = 0.6
@@ -30,7 +30,7 @@ class GaConfig:
     population_size: int = 50
     generations: int = 20
     rng_seed: int = 0
-    error_cost: float = 1000.0
+    error_cost: float = ERROR_COST
 
     def __post_init__(self):
         if self.population_size < 1:

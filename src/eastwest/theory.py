@@ -10,9 +10,10 @@ features.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,44 +70,30 @@ def evaluate_dnf(dnf: Sequence[Conjunction], values: np.ndarray) -> np.ndarray:
 
 
 def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
-    """Drop literals whose removal leaves every training prediction unchanged.
+    """Drop each literal whose conjunction, without it, covers no training
+    row that the theory predicts westbound.
 
-    Negated literals are tried first, then positive ones; repeats to a
-    fixpoint.  The simplified theory classifies the training set exactly
-    as the input theory does.
+    One pass: negated literals first, then positive ones, each in
+    conjunction order.  The simplified theory classifies the training set
+    exactly as the input theory does.
     """
-    target = evaluate_dnf(theory.dnf, matrix.values)
+    west_rows = matrix.values[~evaluate_dnf(theory.dnf, matrix.values)]
     dnf = [list(conj) for conj in theory.dnf]
-    changed = True
-    while changed:
-        changed = False
-        for wanted_value in (0, 1):
-            for ci, conj in enumerate(dnf):
-                i = 0
-                while i < len(conj):
-                    if conj[i][1] != wanted_value:
-                        i += 1
-                        continue
-                    candidate = [tuple(c) for c in dnf]
-                    candidate[ci] = tuple(conj[:i] + conj[i + 1:])
-                    if np.array_equal(evaluate_dnf(candidate, matrix.values), target):
-                        del conj[i]
-                        changed = True
-                    else:
-                        i += 1
+    # Dropping a literal only widens its conjunction, so a prediction can only
+    # flip from west to east: the theory keeps every prediction iff the
+    # widened conjunction covers no west row, and a literal kept once is never
+    # droppable later, because later drops only widen its conjunction further.
+    for wanted_value in (0, 1):
+        for conj in dnf:
+            for lit in list(conj):
+                i = conj.index(lit)
+                rest = conj[:i] + conj[i + 1:]
+                if lit[1] == wanted_value and not evaluate_dnf([rest], west_rows).any():
+                    del conj[i]
     return Theory(dnf=tuple(tuple(c) for c in dnf))
 
 
-class _VarNames:
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> str:
-        self.count += 1
-        return f"C{self.count}"
-
-
-def _feature_literals(spec: FeatureSpec, car_var: str | None, names: _VarNames) -> list[str]:
+def _feature_literals(spec: FeatureSpec, car_var: str | None, names: Iterator[int]) -> list[str]:
     """Fragment literals for one positive feature occurrence.
 
     `car_var` is the hoisted car variable; when given, unary/pair features
@@ -116,10 +103,10 @@ def _feature_literals(spec: FeatureSpec, car_var: str | None, names: _VarNames) 
     if spec.kind == "train":
         return [preds[0].literal("T")]
     if spec.kind == "infront":
-        v1, v2 = names.fresh(), names.fresh()
+        v1, v2 = f"C{next(names)}", f"C{next(names)}"
         return [INFRONT_TEMPLATE.format(v1, v2), preds[0].literal(v1), preds[1].literal(v2)]
     if car_var is None:
-        var = names.fresh()
+        var = f"C{next(names)}"
         lits = [HAS_CAR_TEMPLATE.format(var)]
     else:
         var = car_var
@@ -129,7 +116,7 @@ def _feature_literals(spec: FeatureSpec, car_var: str | None, names: _VarNames) 
 
 
 def _conjunction_text(
-    conj: Conjunction, table: Sequence[FeatureSpec], hoisted_var: str | None, names: _VarNames
+    conj: Conjunction, table: Sequence[FeatureSpec], hoisted_var: str | None, names: Iterator[int]
 ) -> str:
     parts: list[str] = []
     used_hoisted = False
@@ -159,13 +146,12 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     """
     if not theory.dnf:
         return ""
-    names = _VarNames()
+    names = itertools.count(1)
 
     def binds_one_car(conj: Conjunction) -> bool:
-        n = sum(1 for feat, val in conj if val == 1 and table[feat].kind in ("unary", "pair"))
-        return n >= 1
+        return any(val == 1 and table[feat].kind in ("unary", "pair") for feat, val in conj)
 
-    hoist = len(theory.dnf) >= 2 and sum(1 for c in theory.dnf if binds_one_car(c)) >= 2
+    hoist = sum(1 for c in theory.dnf if binds_one_car(c)) >= 2
     hoisted_var = "C" if hoist else None
 
     if len(theory.dnf) == 1:
@@ -305,9 +291,13 @@ def theory_to_dict(theory: Theory, table: Sequence[FeatureSpec]) -> dict:
 
 def theory_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Theory:
     by_name = {s.name: s.index for s in table}
-    dnf = tuple(
-        tuple((by_name[name], int(v)) for name, v in conj) for conj in data["dnf"]
-    )
+
+    def literal(name: str, value) -> Literal:
+        if value not in (0, 1):
+            raise ValueError(f"literal {name!r} has value {value!r}, not 0 or 1")
+        return by_name[name], int(value)
+
+    dnf = tuple(tuple(literal(name, v) for name, v in conj) for conj in data["dnf"])
     return Theory(dnf=dnf, rendered=data.get("program", ""), complexity=data.get("complexity", 0))
 
 

@@ -84,9 +84,6 @@ class Train:
                 f"car positions must be exactly 1..{len(self.cars)} in order, got {positions}"
             )
 
-    def __len__(self) -> int:
-        return len(self.cars)
-
 
 # --- tokenizer and token cursor (shared with the program scorer) ----------
 

@@ -22,6 +22,7 @@ from .trains import EAST, WEST
 
 B_MAX = 10000.0
 CF_MIN, CF_MAX = 1.0, 100.0
+ERROR_COST = 1000.0  # fitness price of a 100% training error rate
 
 _GAIN_EPS = 1e-12
 
@@ -68,7 +69,6 @@ class FitnessReport:
     test_cost: int
     error_count: int
     error_rate: float
-    error_cost_param: float
     fitness: float
 
 
@@ -233,7 +233,7 @@ def fitness(
     tree: Tree,
     matrix: FeatureMatrix,
     costs: np.ndarray,
-    error_cost: float = 1000.0,
+    error_cost: float = ERROR_COST,
 ) -> FitnessReport:
     """Score a tree: static test cost plus error_rate * error_cost."""
     predictions = predict_all(tree, matrix)
@@ -244,7 +244,6 @@ def fitness(
         test_cost=cost,
         error_count=errors,
         error_rate=rate,
-        error_cost_param=error_cost,
         fitness=cost + rate * error_cost,
     )
 

@@ -216,3 +216,37 @@ def reference_induce(matrix, bias):
 
     everyone = np.arange(matrix.n_trains)
     return prune(grow(everyone), everyone)[0]
+
+
+# --- fixpoint DNF simplification ---------------------------------------------
+
+def reference_simplify(theory, matrix):
+    """Drop literals whose removal leaves every training prediction unchanged.
+
+    Negated literals are tried first, then positive ones; repeats to a
+    fixpoint, re-evaluating the whole DNF for every candidate literal.
+    """
+    import numpy as np
+
+    from eastwest.theory import Theory, evaluate_dnf
+
+    target = evaluate_dnf(theory.dnf, matrix.values)
+    dnf = [list(conj) for conj in theory.dnf]
+    changed = True
+    while changed:
+        changed = False
+        for wanted_value in (0, 1):
+            for ci, conj in enumerate(dnf):
+                i = 0
+                while i < len(conj):
+                    if conj[i][1] != wanted_value:
+                        i += 1
+                        continue
+                    candidate = [tuple(c) for c in dnf]
+                    candidate[ci] = tuple(conj[:i] + conj[i + 1:])
+                    if np.array_equal(evaluate_dnf(candidate, matrix.values), target):
+                        del conj[i]
+                        changed = True
+                    else:
+                        i += 1
+    return Theory(dnf=tuple(tuple(c) for c in dnf))

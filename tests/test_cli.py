@@ -212,6 +212,14 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         lambda d: ["induce", "--data", _write(d / "long.pl", f"eastbound([c({'9' * 5000}, x)]).\n")],
         lambda d: ["induce", "--data", _write(d / "deep.pl", f"eastbound([{'c(' * 3000}1{')' * 3000}]).\n")],
         lambda d: ["score", _write(d / "deep.pl", f"eastbound(T) :- {'not ' * 3000}short(T).\n")],
+        lambda d: [
+            "agree",
+            _write(d / "a.json", '{"dnf": [[["train_2", 7]]]}'),
+            _write(d / "b.json", '{"dnf": [[["train_2", 1]]]}'),
+            "--data", TRAINS20,
+        ],
+        lambda d: ["gen-trains", "--out", str(d / "missing" / "random.pl")],
+        lambda d: ["induce", "--data", TRAINS20, "--emit-dir", _write(d / "file", "")] + FAST,
     ],
     ids=[
         "empty-features-file",
@@ -231,6 +239,9 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "over-long-integer",
         "deep-term-nesting",
         "deep-program-nesting",
+        "theory-literal-not-0-or-1",
+        "gen-trains-out-in-missing-dir",
+        "emit-dir-is-a-file",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):

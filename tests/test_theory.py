@@ -36,6 +36,8 @@ from eastwest.tree import (
     tree_to_json,
 )
 
+from oracles import reference_simplify
+
 REFERENCE_PROGRAM = (
     "eastbound(T) :-\n"
     "    has_car(T, C),\n"
@@ -130,6 +132,23 @@ def test_simplification_preserves_training_predictions(full_table):
             evaluate_dnf(simplified.dnf, matrix.values),
             evaluate_dnf(theory.dnf, matrix.values),
         )
+
+
+def test_one_pass_simplify_matches_fixpoint_reference(trains20, trains10, full_table):
+    datasets = [trains20, trains10] + [random_trains(10 + 10 * k, k) for k in range(12)]
+    for d, trains in enumerate(datasets):
+        matrix = evaluate_features(trains, full_table)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            bias = BiasVector(
+                rng.uniform(0, B_MAX, matrix.n_features),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(CF_MIN, CF_MAX)),
+            )
+            raw = tree_to_dnf(induce_tree(matrix, bias))
+            simplified = simplify_dnf(raw, matrix)
+            assert simplified.dnf == reference_simplify(raw, matrix).dnf
+            assert simplify_dnf(simplified, matrix).dnf == simplified.dnf
 
 
 # --- rendering and complexity -----------------------------------------------

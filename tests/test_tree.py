@@ -387,7 +387,6 @@ def test_error_cost_parameter_scales_errors():
     m = make_matrix(values, [1, 0, 0, 0])
     report = fitness(Leaf(WEST), m, np.array([5]), error_cost=100.0)
     assert report.fitness == pytest.approx(25.0)
-    assert report.error_cost_param == 100.0
 
 
 # --- serialization ----------------------------------------------------------
