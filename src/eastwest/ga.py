@@ -17,7 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .features import FeatureMatrix
-from .tree import BiasVector, FitnessReport, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, fitness, induce_tree, tree_signature
+from .tree import (
+    BiasVector, FitnessReport, InductionMemo, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, fitness, induce_tree, tree_signature
+)
 
 
 CROSSOVER_RATE = 0.6
@@ -75,17 +77,20 @@ def evaluate_individual(
     matrix: FeatureMatrix,
     costs: np.ndarray,
     config: GaConfig,
-    _cache: dict | None = None,
-    _gains_memo: dict | None = None,
+    memo: InductionMemo | None = None,
 ) -> tuple[Tree, FitnessReport]:
-    """Induce and score the tree for one bias vector."""
-    tree = induce_tree(matrix, bias, _gains_memo)
+    """Induce and score the tree for one bias vector.
+
+    With a memo, trees of one signature share one report, so the memo must
+    not outlive the costs and error cost it was filled under.
+    """
+    tree = induce_tree(matrix, bias, memo)
+    if memo is None:
+        return tree, fitness(tree, matrix, costs, error_cost=config.error_cost)
     key = tree_signature(tree)
-    if _cache is not None and key in _cache:
-        return tree, _cache[key]
-    report = fitness(tree, matrix, costs, error_cost=config.error_cost)
-    if _cache is not None:
-        _cache[key] = report
+    report = memo.fitness.get(key)
+    if report is None:
+        report = memo.fitness[key] = fitness(tree, matrix, costs, error_cost=config.error_cost)
     return tree, report
 
 
@@ -122,8 +127,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
     lows, highs = _gene_bounds(n)
     pop = rng.uniform(lows, highs, size=(config.population_size, n + 2))
 
-    cache: dict = {}
-    gains_memo: dict = {}  # see induce_tree; lives as long as this run
+    memo = InductionMemo(matrix)  # lives as long as this run
     best_tree = None
     best_report = None
     best_bias = None
@@ -133,9 +137,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
         evals = []
         for genome in pop:
             bias = genome_to_bias(genome)
-            evals.append(
-                evaluate_individual(bias, matrix, costs, config, _cache=cache, _gains_memo=gains_memo)
-            )
+            evals.append(evaluate_individual(bias, matrix, costs, config, memo))
         fitnesses = np.array([rep.fitness for _, rep in evals])
         gen_best = int(np.argmin(fitnesses))
         gen_tree, gen_report = evals[gen_best]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .features import FeatureMatrix, FeatureSpec
 from .trains import EAST, WEST
@@ -83,17 +82,30 @@ def _entropy(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n > 0, h, 0.0)
 
 
-def _gains(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Information gain of each feature column over the given examples."""
+def _entropy_table(n_max: int) -> np.ndarray:
+    """`H[n, pos] = _entropy(pos, n)` for 0 <= pos <= n <= n_max; (n_max + 1)**2 floats."""
+    n, pos = np.tril_indices(n_max + 1)
+    table = np.zeros((n_max + 1, n_max + 1))
+    table[n, pos] = _entropy(pos, n)
+    return table
+
+
+def _gains(values: np.ndarray, labels: np.ndarray, entropy: np.ndarray | None = None) -> np.ndarray:
+    """Information gain of each feature column over the given examples.
+
+    The counts are integers and the entropies are read from `entropy` (an
+    `_entropy_table` of at least this many examples; built here if not
+    given), so every gain is the float `_entropy` would give term for term.
+    """
     m = values.shape[0]
-    pos = labels.sum()
-    parent = _entropy(pos, m)
-    n1 = values.sum(axis=0)
-    pos1 = values[labels].sum(axis=0) if pos else np.zeros(values.shape[1])
+    h = _entropy_table(m) if entropy is None else entropy
+    pos = int(np.count_nonzero(labels))
+    count = np.min_scalar_type(m)  # exact, and the narrowest sum is the fastest
+    n1 = values.sum(axis=0, dtype=count)
+    pos1 = values[labels].sum(axis=0, dtype=count)
     n0 = m - n1
-    pos0 = pos - pos1
-    child = (n1 / m) * _entropy(pos1, n1) + (n0 / m) * _entropy(pos0, n0)
-    return np.maximum(parent - child, 0.0)
+    child = (n1 / m) * h[n1, pos1] + (n0 / m) * h[n0, pos - pos1]
+    return np.maximum(h[m, pos] - child, 0.0)
 
 
 def selection_criterion(gain, bias, omega: float):
@@ -101,42 +113,63 @@ def selection_criterion(gain, bias, omega: float):
     return (np.power(2.0, gain) - 1.0) / np.power(np.asarray(bias, dtype=float) + 1.0, omega)
 
 
-def _majority(labels: np.ndarray) -> str:
-    pos = int(labels.sum())
+def _majority(pos: int, n: int) -> str:
     # ties label east, for determinism
-    return EAST if pos >= labels.size - pos else WEST
+    return EAST if pos >= n - pos else WEST
 
 
-def _grow(values, labels, idx, weights, omega, gains_memo):
-    y = labels[idx]
-    pos = int(y.sum())
-    if pos == 0 or pos == idx.size:
-        return Leaf(EAST if pos else WEST, idx.size)
-    # gains depend only on which examples reach the node, never on the bias
-    key = idx.tobytes()
-    gains = gains_memo.get(key)
-    if gains is None:
-        gains = gains_memo[key] = _gains(values[idx], y)
-    scores = selection_criterion(gains, weights, omega)
-    # a feature already tested on the path is constant here, so its gain is 0
-    scores = np.where(gains <= _GAIN_EPS, -np.inf, scores)
-    best = int(np.argmax(scores))
-    if not np.isfinite(scores[best]):
-        return Leaf(_majority(y), idx.size)
-    col = values[idx, best]
-    return Node(
-        best,
-        _grow(values, labels, idx[col], weights, omega, gains_memo),
-        _grow(values, labels, idx[~col], weights, omega, gains_memo),
-    )
+class InductionMemo:
+    """Work that the trees induced over one matrix in one evolve run share.
+
+    Each entry depends on its key alone, never on the genome being induced:
+    - `entropy`: the `_entropy_table` of the matrix's size;
+    - `splits`: for each example subset (its index bytes), the features
+      whose gain exceeds `_GAIN_EPS` there, as small unsigned indices, and
+      their gains;
+    - `bounds`: the pruning bound of each `(errors, n, cf)`;
+    - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
+      fills it, under the one cost vector and error cost of its run.
+    """
+
+    def __init__(self, matrix: FeatureMatrix):
+        self.matrix = matrix
+        self.entropy = _entropy_table(matrix.n_trains)
+        self.splits: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.bounds: dict[tuple[int, int, float], float] = {}
+        self.fitness: dict = {}
+        self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
+
+    def candidates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(features with gain > _GAIN_EPS over the examples idx, their gains)."""
+        key = idx.tobytes()
+        found = self.splits.get(key)
+        if found is None:
+            y = self.matrix.labels[idx]
+            gains = np.zeros(self.matrix.n_features)
+            if 0 < np.count_nonzero(y) < idx.size:  # a pure subset has no gain
+                gains = _gains(self.matrix.values[idx], y, self.entropy)
+            # a feature already tested on the path is constant here, so its gain is 0
+            cand = np.flatnonzero(gains > _GAIN_EPS)
+            found = self.splits[key] = (cand.astype(self._index), gains[cand])
+        return found
 
 
-def induce_tree(matrix: FeatureMatrix, bias: BiasVector, gains_memo: dict | None = None) -> Tree:
+def _grow(idx, weights, omega, memo):
+    cand, gains = memo.candidates(idx)
+    if not cand.size:
+        return Leaf(_majority(int(np.count_nonzero(memo.matrix.labels[idx])), idx.size), idx.size)
+    # every candidate's score is finite and positive, so this is the argmax
+    # over all features with the non-candidates scored -inf
+    best = int(cand[np.argmax(selection_criterion(gains, weights[cand], omega))])
+    col = memo.matrix.values[idx, best]
+    return Node(best, _grow(idx[col], weights, omega, memo), _grow(idx[~col], weights, omega, memo))
+
+
+def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | None = None) -> Tree:
     """Grow a tree under the given bias, then prune it at bias.cf.
 
-    `gains_memo` maps an example subset (its index bytes) to its gains and
-    belongs to one matrix: `ga.evolve` shares one across its run; by
-    default each call starts a fresh one.
+    `memo` must belong to `matrix`: `ga.evolve` shares one across its run;
+    by default each call starts a fresh one.
     """
     if matrix.n_trains == 0:
         raise ValueError("matrix must contain at least one example")
@@ -144,10 +177,12 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, gains_memo: dict | None
         raise ValueError(
             f"bias has {bias.weights.size} weights for {matrix.n_features} features"
         )
-    idx = np.arange(matrix.n_trains)
-    memo = {} if gains_memo is None else gains_memo
-    tree = _grow(matrix.values, matrix.labels, idx, bias.weights, bias.omega, memo)
-    return prune(tree, bias.cf, matrix)
+    if memo is None:
+        memo = InductionMemo(matrix)
+    elif memo.matrix is not matrix:
+        raise ValueError("memo belongs to another feature matrix")
+    tree = _grow(np.arange(matrix.n_trains), bias.weights, bias.omega, memo)
+    return prune(tree, bias.cf, matrix, memo)
 
 
 def pessimistic_upper_bound(errors: int, n: int, cf: float) -> float:
@@ -160,36 +195,49 @@ def pessimistic_upper_bound(errors: int, n: int, cf: float) -> float:
         return 0.0
     if errors >= n:
         return 1.0
-    # the beta quantile; scipy.special has it without importing scipy.stats (~1 s)
+    # the beta quantile; scipy.special has it without importing scipy.stats
+    # (~1 s), and is itself imported only here, as the commands that never
+    # prune need no part of scipy
+    from scipy.special import betaincinv
+
     return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))
 
 
-def _prune(node, cf, values, labels, idx):
+def _bound(errors: int, n: int, cf: float, bounds: dict) -> float:
+    key = (errors, n, cf)
+    found = bounds.get(key)
+    if found is None:
+        found = bounds[key] = pessimistic_upper_bound(errors, n, cf)
+    return found
+
+
+def _prune(node, cf, values, labels, idx, bounds):
     """Returns (pruned subtree, pessimistic error estimate over idx)."""
-    y = labels[idx]
+    n = idx.size
+    pos = int(np.count_nonzero(labels[idx]))
     if isinstance(node, Leaf):
-        errors = int((y != (node.label == EAST)).sum()) if idx.size else 0
-        return Leaf(node.label, idx.size), idx.size * pessimistic_upper_bound(errors, idx.size, cf)
-    if idx.size == 0:
+        errors = n - pos if node.label == EAST else pos
+        return Leaf(node.label, n), n * _bound(errors, n, cf, bounds)
+    if n == 0:
         return node, 0.0
     col = values[idx, node.feature]
-    on_true, est_t = _prune(node.on_true, cf, values, labels, idx[col])
-    on_false, est_f = _prune(node.on_false, cf, values, labels, idx[~col])
+    on_true, est_t = _prune(node.on_true, cf, values, labels, idx[col], bounds)
+    on_false, est_f = _prune(node.on_false, cf, values, labels, idx[~col], bounds)
     subtree_est = est_t + est_f
-    label = _majority(y)
-    errors = int((y != (label == EAST)).sum())
-    leaf_est = idx.size * pessimistic_upper_bound(errors, idx.size, cf)
+    # the majority label errs on the minority
+    leaf_est = n * _bound(min(pos, n - pos), n, cf, bounds)
     if leaf_est < subtree_est:
-        return Leaf(label, idx.size), leaf_est
+        return Leaf(_majority(pos, n), n), leaf_est
     return Node(node.feature, on_true, on_false), subtree_est
 
 
-def prune(tree: Tree, cf: float, matrix: FeatureMatrix) -> Tree:
+def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | None = None) -> Tree:
     """Pessimistic leaf-replacement pruning at confidence level cf (percent)."""
     if not CF_MIN <= cf <= CF_MAX:
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
+    bounds = {} if memo is None else memo.bounds
     idx = np.arange(matrix.n_trains)
-    pruned, _ = _prune(tree, cf, matrix.values, matrix.labels, idx)
+    pruned, _ = _prune(tree, cf, matrix.values, matrix.labels, idx, bounds)
     return pruned
 
 

@@ -109,6 +109,30 @@ def information_gain_oracle(column, labels) -> float:
     return parent - child
 
 
+def float_gains(values, labels):
+    """Information gains of every column, with the entropies computed from
+    float arrays at every call: the arithmetic the package's entropy table
+    must reproduce bit for bit."""
+    import numpy as np
+
+    def entropy(pos, n):
+        pos = np.asarray(pos, dtype=float)
+        n = np.asarray(n, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
+            h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
+                  + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
+        return np.where(n > 0, h, 0.0)
+
+    m = values.shape[0]
+    pos = labels.sum()
+    n1 = values.sum(axis=0)
+    pos1 = values[labels].sum(axis=0) if pos else np.zeros(values.shape[1])
+    n0 = m - n1
+    child = (n1 / m) * entropy(pos1, n1) + (n0 / m) * entropy(pos - pos1, n0)
+    return np.maximum(entropy(pos, m) - child, 0.0)
+
+
 def selection_score_oracle(gain: float, bias: float, omega: float) -> float:
     return (2.0 ** gain - 1.0) / (bias + 1.0) ** omega
 
@@ -144,9 +168,12 @@ def reference_induce(matrix, bias):
     """Grow and prune a tree with gains recomputed at every node and the
     pessimistic bound taken from `scipy.stats.beta.ppf`.
 
-    The gain arithmetic is the package's, term for term, so gains agree bit
-    for bit and argmax ties break the same way; only the memo and the
-    bound's implementation differ from the package's path.
+    The gains are computed from float arrays at every node, the way the
+    package did before it read entropies from a table of integer counts.
+    This path is kept on purpose, so the oracle stays independent of the
+    table, the candidate lists and every memo. The table reproduces these
+    floats bit for bit (`test_tree` checks it against `float_gains`, the
+    same arithmetic), so argmax ties break the same way in both.
     """
     import numpy as np
     from scipy.stats import beta

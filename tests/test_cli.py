@@ -252,12 +252,23 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats takes about a second to import; the pruning bound uses
-    # scipy.special alone, and start-up time should stay that way
+def _cli_import_loads(module):
+    """Whether a fresh interpreter loads `module` when it imports eastwest.cli."""
     src = str(Path(eastwest.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import sys, eastwest.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, eastwest.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes about a second to import; the pruning bound uses
+    # scipy.special alone, and start-up time should stay that way
+    assert not _cli_import_loads("scipy.stats")
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # only pruning needs scipy (the bound's beta quantile), so the commands
+    # that never prune (features, score, agree, gen-trains) never load it
+    assert not _cli_import_loads("scipy.special")

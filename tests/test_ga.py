@@ -14,7 +14,7 @@ from eastwest.ga import (
     history_to_csv,
 )
 from eastwest.trains import Car, Train, random_trains
-from eastwest.tree import BiasVector, fitness, induce_tree, tree_signature
+from eastwest.tree import BiasVector, InductionMemo, fitness, induce_tree, tree_signature
 
 from oracles import reference_induce
 
@@ -169,10 +169,10 @@ def test_evaluate_individual_uses_cache(easy_problem):
     matrix, costs = easy_problem
     config = small_config()
     bias = BiasVector(np.zeros(matrix.n_features), 0.0, 99.0)
-    cache = {}
-    _, first = evaluate_individual(bias, matrix, costs, config, _cache=cache)
-    assert len(cache) == 1
-    _, second = evaluate_individual(bias, matrix, costs, config, _cache=cache)
+    memo = InductionMemo(matrix)
+    _, first = evaluate_individual(bias, matrix, costs, config, memo)
+    assert len(memo.fitness) == 1
+    _, second = evaluate_individual(bias, matrix, costs, config, memo)
     assert first is second
 
 
@@ -189,14 +189,14 @@ def test_history_to_csv_round_figures(easy_problem):
 
 
 def test_evolved_trees_match_unmemoized_reference(monkeypatch, matrix20, full_table, costs20):
-    """Every tree an evolve run induces, with one gains memo shared across
-    the run, equals the tree grown without a memo."""
+    """Every tree an evolve run induces, with one memo shared across the
+    run, equals the tree grown and pruned without any memo."""
     induce = eastwest.ga.induce_tree
-    calls = []  # (matrix, bias, gains memo, tree) of every induction
+    calls = []  # (matrix, bias, memo, tree) of every induction
 
-    def recording(matrix, bias, gains_memo):
-        tree = induce(matrix, bias, gains_memo)
-        calls.append((matrix, bias, gains_memo, tree))
+    def recording(matrix, bias, memo):
+        tree = induce(matrix, bias, memo)
+        calls.append((matrix, bias, memo, tree))
         return tree
 
     monkeypatch.setattr(eastwest.ga, "induce_tree", recording)
@@ -209,6 +209,7 @@ def test_evolved_trees_match_unmemoized_reference(monkeypatch, matrix20, full_ta
         start = len(calls)
         evolve(matrix, costs20, small_config(population_size=8, generations=4, rng_seed=seed))
         assert len(calls) - start == 8 * 4
+        assert isinstance(calls[start][2], InductionMemo)
         assert all(c[2] is calls[start][2] for c in calls[start:])
         memos.append(calls[start][2])
     assert len({id(m) for m in memos}) == len(memos)  # a new memo for each run

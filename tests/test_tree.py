@@ -11,9 +11,12 @@ from eastwest.trains import random_trains
 from eastwest.tree import (
     EAST,
     WEST,
+    _GAIN_EPS,
     BiasVector,
+    InductionMemo,
     Leaf,
     Node,
+    _entropy_table,
     _gains,
     fitness,
     induce_tree,
@@ -31,6 +34,7 @@ from eastwest.tree import test_cost as static_test_cost
 
 from oracles import (
     binomial_upper_bound,
+    float_gains,
     information_gain_oracle,
     selection_score_oracle,
 )
@@ -93,6 +97,40 @@ def test_gain_matches_loop_oracle(seed, n):
 def test_gain_on_subset():
     m = make_matrix([[1], [0], [1], [0]], [1, 0, 0, 0])
     assert information_gain(m, [0, 1], 0) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 8),
+    st.sampled_from(["mixed", "all east", "all west"]),
+    st.integers(0, 10**6),
+)
+def test_table_gains_equal_float_gains_bit_for_bit(n, n_features, labelling, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, n_features)) < rng.random(n_features)
+    values[:, 0] = rng.random() < 0.5  # a constant column
+    labels = {
+        "mixed": rng.random(n) < 0.5,
+        "all east": np.ones(n, dtype=bool),
+        "all west": np.zeros(n, dtype=bool),
+    }[labelling]
+    table = _entropy_table(n)  # one table for the matrix, as a run builds it
+    subset = np.sort(rng.permutation(n)[: rng.integers(1, n + 1)])
+    for rows in (np.arange(n), subset, subset[:1]):  # m = n, any m, m = 1
+        x, y = values[rows], labels[rows]
+        want = float_gains(x, y).tobytes()
+        assert _gains(x, y, table).tobytes() == want
+        assert _gains(x, y).tobytes() == want
+
+
+def test_rounding_noise_gain_is_not_a_split():
+    # 6 of 15 examples are east, and 2 of the 5 the feature holds: both
+    # sides keep the parent's east share, so the true gain is 0, but the
+    # float arithmetic leaves a positive gain below _GAIN_EPS
+    m = make_matrix(np.arange(15)[:, None] < 5, np.isin(np.arange(15), [0, 1, 5, 6, 7, 8]))
+    assert 0 < _gains(m.values, m.labels)[0] <= _GAIN_EPS
+    assert induce_tree(m, grow_only_bias(1)) == Leaf(WEST, 15)
 
 
 # --- selection criterion ----------------------------------------------------
@@ -246,6 +284,14 @@ def test_induce_validates_inputs():
     m = make_matrix([[1]], [1])
     with pytest.raises(ValueError):
         induce_tree(m, grow_only_bias(3))
+
+
+def test_induce_rejects_a_memo_of_another_matrix():
+    a = make_matrix([[1], [0]], [1, 0])
+    b = make_matrix([[1], [0]], [1, 0])
+    assert induce_tree(a, grow_only_bias(1), InductionMemo(a)) == induce_tree(a, grow_only_bias(1))
+    with pytest.raises(ValueError):
+        induce_tree(b, grow_only_bias(1), InductionMemo(a))
 
 
 # --- pruning ----------------------------------------------------------------
