@@ -82,8 +82,7 @@ def _run_one(data_file: str, args) -> dict:
     result = ga.evolve(matrix, costs, config)
 
     raw = theory_mod.tree_to_dnf(result.best_tree)
-    simplified = theory_mod.simplify_dnf(raw, matrix)
-    theory_mod.finalize(simplified, table)
+    simplified = theory_mod.finalize(theory_mod.simplify_dnf(raw, matrix), table)
 
     predictions = tree_mod.predict_all(result.best_tree, matrix)
     east = matrix.labels

@@ -7,6 +7,11 @@ via the infront relation (adjacent cars satisfy p and q respectively), and
 a handful of train-level predicates.  Each feature carries the
 size-complexity cost of the Prolog fragment that expresses it.
 
+Predicates are data: a car predicate is one `(attribute, values)` row and
+holds for a car whose `attribute` is one of `values`.  A train predicate
+either counts the cars or repeats the unary `<shape>_load` value, at its
+own cost.
+
 A feature's cost is the size of its fragment under the rule that also
 scores emitted programs (`trains.program_size`): one per atom, variable
 and integer, so a literal costs 1 + its arity and `not` adds 1.  The
@@ -17,11 +22,11 @@ binds the car variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trains import Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size
+from .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size
 
 
 # scaffold literals binding the car variables of a fragment
@@ -35,11 +40,11 @@ def _literal_size(template: str) -> int:
 
 @dataclass(frozen=True)
 class Predicate:
-    """A car or train predicate, with its cheapest literal form and its size."""
+    """A train predicate, or the part common to every predicate: its cheapest
+    literal form and its size."""
 
     name: str
     template: str  # literal with {0} standing for the car or train variable
-    test: Callable[[Car], bool] | Callable[[Train], bool]
     cost: int = field(init=False)
 
     def __post_init__(self):
@@ -49,76 +54,51 @@ class Predicate:
         return self.template.format(var)
 
 
-def _shape_test(shape):
-    return lambda c: c.shape == shape
+@dataclass(frozen=True)
+class CarPredicate(Predicate):
+    """A car predicate: it holds when the car's `attribute` is one of `values`."""
+
+    attribute: str  # a Car field or property
+    values: tuple
 
 
-def _roof_test(roof):
-    return lambda c: c.roof == roof
-
-
-def _axle_test(n):
-    return lambda c: c.axles == n
-
-
-def _load_shape_test(shape):
-    # a car "has" a load shape only when it actually carries something
-    return lambda c: c.load_shape == shape and c.load_count >= 1
-
-
-def _load_count_test(n):
-    return lambda c: c.load_count == n
-
-
-CAR_PREDICATES: tuple[Predicate, ...] = (
-    Predicate("ellipse", "ellipse({0})", _shape_test("ellipse")),
-    Predicate("hexagon", "hexagon({0})", _shape_test("hexagon")),
-    Predicate("rectangle", "rectangle({0})", _shape_test("rectangle")),
-    Predicate("u_shaped", "u_shaped({0})", _shape_test("u_shaped")),
-    Predicate("bucket", "bucket({0})", _shape_test("bucket")),
-    Predicate("long", "long({0})", lambda c: c.length == "long"),
-    Predicate("short", "short({0})", lambda c: c.length == "short"),
-    Predicate("double", "double({0})", lambda c: c.walls == "double"),
-    Predicate("not_double", "not double({0})", lambda c: c.walls != "double"),
-    Predicate("open", "open({0})", lambda c: c.roof == "none"),
-    Predicate("closed", "closed({0})", lambda c: c.roof != "none"),
-    Predicate("no_roof", "arg(5, {0}, none)", _roof_test("none")),
-    Predicate("flat_roof", "arg(5, {0}, flat)", _roof_test("flat")),
-    Predicate("jagged_roof", "arg(5, {0}, jagged)", _roof_test("jagged")),
-    Predicate("peaked_roof", "arg(5, {0}, peaked)", _roof_test("peaked")),
-    Predicate("arc_roof", "arg(5, {0}, arc)", _roof_test("arc")),
-    Predicate("two_axles", "arg(6, {0}, 2)", _axle_test(2)),
-    Predicate("three_axles", "arg(6, {0}, 3)", _axle_test(3)),
-    Predicate("circle_load", "has_load0({0}, circle)", _load_shape_test("circle")),
-    Predicate("hexagon_load", "has_load0({0}, hexagon)", _load_shape_test("hexagon")),
-    Predicate("rectangle_load", "has_load0({0}, rectangle)", _load_shape_test("rectangle")),
-    Predicate("triangle_load", "has_load0({0}, triangle)", _load_shape_test("triangle")),
-    Predicate("diamond_load", "has_load0({0}, diamond)", _load_shape_test("diamond")),
-    Predicate("utriangle_load", "has_load0({0}, utriangle)", _load_shape_test("utriangle")),
-    Predicate("no_load", "has_load({0}, 0)", _load_count_test(0)),
-    Predicate("one_load", "has_load({0}, 1)", _load_count_test(1)),
-    Predicate("two_load", "has_load({0}, 2)", _load_count_test(2)),
-    Predicate("three_load", "has_load({0}, 3)", _load_count_test(3)),
+CAR_PREDICATES: tuple[CarPredicate, ...] = (
+    CarPredicate("ellipse", "ellipse({0})", "shape", ("ellipse",)),
+    CarPredicate("hexagon", "hexagon({0})", "shape", ("hexagon",)),
+    CarPredicate("rectangle", "rectangle({0})", "shape", ("rectangle",)),
+    CarPredicate("u_shaped", "u_shaped({0})", "shape", ("u_shaped",)),
+    CarPredicate("bucket", "bucket({0})", "shape", ("bucket",)),
+    CarPredicate("long", "long({0})", "length", ("long",)),
+    CarPredicate("short", "short({0})", "length", ("short",)),
+    CarPredicate("double", "double({0})", "walls", ("double",)),
+    CarPredicate("not_double", "not double({0})", "walls", ("not_double",)),
+    CarPredicate("open", "open({0})", "roof", ("none",)),
+    CarPredicate("closed", "closed({0})", "roof", ("flat", "jagged", "peaked", "arc")),
+    CarPredicate("no_roof", "arg(5, {0}, none)", "roof", ("none",)),
+    CarPredicate("flat_roof", "arg(5, {0}, flat)", "roof", ("flat",)),
+    CarPredicate("jagged_roof", "arg(5, {0}, jagged)", "roof", ("jagged",)),
+    CarPredicate("peaked_roof", "arg(5, {0}, peaked)", "roof", ("peaked",)),
+    CarPredicate("arc_roof", "arg(5, {0}, arc)", "roof", ("arc",)),
+    CarPredicate("two_axles", "arg(6, {0}, 2)", "axles", (2,)),
+    CarPredicate("three_axles", "arg(6, {0}, 3)", "axles", (3,)),
+    CarPredicate("circle_load", "has_load0({0}, circle)", "load", ("circle",)),
+    CarPredicate("hexagon_load", "has_load0({0}, hexagon)", "load", ("hexagon",)),
+    CarPredicate("rectangle_load", "has_load0({0}, rectangle)", "load", ("rectangle",)),
+    CarPredicate("triangle_load", "has_load0({0}, triangle)", "load", ("triangle",)),
+    CarPredicate("diamond_load", "has_load0({0}, diamond)", "load", ("diamond",)),
+    CarPredicate("utriangle_load", "has_load0({0}, utriangle)", "load", ("utriangle",)),
+    CarPredicate("no_load", "has_load({0}, 0)", "load_count", (0,)),
+    CarPredicate("one_load", "has_load({0}, 1)", "load_count", (1,)),
+    CarPredicate("two_load", "has_load({0}, 2)", "load_count", (2,)),
+    CarPredicate("three_load", "has_load({0}, 3)", "load_count", (3,)),
 )
 
+TRAIN_LENGTHS = (2, 3, 4)
 
-def _train_len_test(n):
-    return lambda t: len(t.cars) == n
-
-
-def _train_load_test(shape):
-    return lambda t: any(c.load_shape == shape and c.load_count >= 1 for c in t.cars)
-
-
+# train_<n>: the train has n cars; train_<s>: some car carries a load of shape s
 TRAIN_PREDICATES: tuple[Predicate, ...] = tuple(
-    [
-        Predicate(f"train_{n}", f"len1({{0}}, {n})", _train_len_test(n))
-        for n in (2, 3, 4)
-    ]
-    + [
-        Predicate(f"train_{s}", f"has_load1({{0}}, {s})", _train_load_test(s))
-        for s in LOAD_SHAPES
-    ]
+    [Predicate(f"train_{n}", f"len1({{0}}, {n})") for n in TRAIN_LENGTHS]
+    + [Predicate(f"train_{s}", f"has_load1({{0}}, {s})") for s in LOAD_SHAPES]
 )
 
 PREDICATES = {p.name: p for p in CAR_PREDICATES + TRAIN_PREDICATES}
@@ -130,6 +110,9 @@ _SAME_CAR = _N_CAR
 _INFRONT = _SAME_CAR + _N_CAR * _N_CAR
 _TRAIN = _INFRONT + _N_CAR * _N_CAR
 _VECTOR_LEN = _TRAIN + len(TRAIN_PREDICATES)
+
+# the unary entries that train_<s> repeats: "some car carries s" is <s>_load
+_CARRIED = [[p.name for p in CAR_PREDICATES].index(f"{s}_load") for s in LOAD_SHAPES]
 
 
 @dataclass(frozen=True)
@@ -237,13 +220,18 @@ def predicate_vector(train: Train) -> np.ndarray:
     Laid out as [28 unary | 28x28 same-car | 28x28 infront | 9 train]; a
     feature's value is the entry at its `slot`.
     """
-    P = np.array([[p.test(c) for p in CAR_PREDICATES] for c in train.cars], dtype=bool)
+    P = np.array(
+        [[getattr(c, p.attribute) in p.values for p in CAR_PREDICATES] for c in train.cars],
+        dtype=bool,
+    )
+    some_car = P.any(axis=0)
     return np.concatenate(
         [
-            P.any(axis=0),
+            some_car,
             (P.T @ P).ravel(),  # some car satisfies both
             (P[:-1].T @ P[1:]).ravel(),  # adjacent cars; all False for one car
-            [p.test(train) for p in TRAIN_PREDICATES],
+            [len(train.cars) == n for n in TRAIN_LENGTHS],
+            some_car[_CARRIED],
         ]
     )
 

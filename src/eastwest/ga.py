@@ -77,16 +77,14 @@ def evaluate_individual(
     matrix: FeatureMatrix,
     costs: np.ndarray,
     config: GaConfig,
-    memo: InductionMemo | None = None,
+    memo: InductionMemo,
 ) -> tuple[Tree, FitnessReport]:
     """Induce and score the tree for one bias vector.
 
-    With a memo, trees of one signature share one report, so the memo must
-    not outlive the costs and error cost it was filled under.
+    Trees of one signature share one report in `memo`, so the memo must not
+    outlive the costs and error cost it was filled under.
     """
     tree = induce_tree(matrix, bias, memo)
-    if memo is None:
-        return tree, fitness(tree, matrix, costs, error_cost=config.error_cost)
     key = tree_signature(tree)
     report = memo.fitness.get(key)
     if report is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ Literal = tuple[int, int]
 Conjunction = tuple[Literal, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Theory:
     """DNF over features; satisfied conjunction => eastbound, else westbound."""
 
@@ -172,10 +172,9 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
 
 def finalize(theory: Theory, table: Sequence[FeatureSpec]) -> Theory:
-    """Fill in the rendered program text and its complexity score."""
-    theory.rendered = render_program(theory, table)
-    theory.complexity = complexity(theory.rendered)
-    return theory
+    """The theory with its rendered program text and complexity score filled in."""
+    rendered = render_program(theory, table)
+    return replace(theory, rendered=rendered, complexity=complexity(rendered))
 
 
 # --- complexity scoring ----------------------------------------------------

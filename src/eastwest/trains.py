@@ -66,6 +66,11 @@ class Car:
         if not 0 <= self.load_count <= 3:
             raise TrainFormatError(f"load count must be in 0..3, got {self.load_count}")
 
+    @property
+    def load(self) -> str | None:
+        """The shape of the carried load; None for a car that carries nothing."""
+        return self.load_shape if self.load_count >= 1 else None
+
 
 @dataclass(frozen=True)
 class Train:

@@ -90,15 +90,14 @@ def _entropy_table(n_max: int) -> np.ndarray:
     return table
 
 
-def _gains(values: np.ndarray, labels: np.ndarray, entropy: np.ndarray | None = None) -> np.ndarray:
+def _gains(values: np.ndarray, labels: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Information gain of each feature column over the given examples.
 
-    The counts are integers and the entropies are read from `entropy` (an
-    `_entropy_table` of at least this many examples; built here if not
-    given), so every gain is the float `_entropy` would give term for term.
+    The counts are integers and the entropies are read from `h` (an
+    `_entropy_table` of at least this many examples), so every gain is the
+    float `_entropy` would give term for term.
     """
     m = values.shape[0]
-    h = _entropy_table(m) if entropy is None else entropy
     pos = int(np.count_nonzero(labels))
     count = np.min_scalar_type(m)  # exact, and the narrowest sum is the fastest
     n1 = values.sum(axis=0, dtype=count)
@@ -241,16 +240,15 @@ def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | No
     return pruned
 
 
-def predict(tree: Tree, row: np.ndarray) -> str:
-    node = tree
-    while isinstance(node, Node):
-        node = node.on_true if row[node.feature] else node.on_false
-    return node.label
-
-
 def predict_all(tree: Tree, matrix: FeatureMatrix) -> np.ndarray:
     """Boolean predictions (True = east) for every row of the matrix."""
-    return np.array([predict(tree, matrix.values[i]) == EAST for i in range(matrix.n_trains)])
+    predictions = np.empty(matrix.n_trains, dtype=bool)
+    for i, row in enumerate(matrix.values):
+        node = tree
+        while isinstance(node, Node):
+            node = node.on_true if row[node.feature] else node.on_false
+        predictions[i] = node.label == EAST
+    return predictions
 
 
 def internal_nodes(tree: Tree) -> list[Node]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,21 @@ def test_features_json_listing(capsys):
     assert code == 0
     assert len(data) == 1199
     assert data[-1] == {"index": 1198, "name": "train_utriangle", "kind": "train", "cost": 3}
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("text", "5a1457deb55c9d82f4919d1cd95c2ab3f6a21755baf1a16f801a52506309257c"),
+        ("json", "b71667fb3747111547fdbd77a13c05ec5e7acdd76b75529faa24aab70c398040"),
+    ],
+    ids=["text", "json"],
+)
+def test_features_listing_is_pinned(capsys, fmt, digest):
+    # every name, kind, cost and index of the full table, in order
+    code, out, _ = run(capsys, ["features", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_score_program_file(capsys, tmp_path):

@@ -138,7 +138,9 @@ def test_degenerate_single_individual_single_generation(easy_problem):
     lows = np.concatenate([np.zeros(n), [0.0, 1.0]])
     highs = np.concatenate([np.full(n, 10000.0), [1.0, 100.0]])
     genome = rng.uniform(lows, highs, size=(1, n + 2))[0]
-    tree, report = evaluate_individual(genome_to_bias(genome), matrix, costs, config)
+    tree, report = evaluate_individual(
+        genome_to_bias(genome), matrix, costs, config, InductionMemo(matrix)
+    )
 
     assert len(result.history) == 1
     assert result.best_report == report

@@ -154,8 +154,7 @@ def test_one_pass_simplify_matches_fixpoint_reference(trains20, trains10, full_t
 # --- rendering and complexity -----------------------------------------------
 
 def test_reference_program_text_and_complexity(reference_tree, matrix20, full_table):
-    simplified = simplify_dnf(tree_to_dnf(reference_tree), matrix20)
-    finalize(simplified, full_table)
+    simplified = finalize(simplify_dnf(tree_to_dnf(reference_tree), matrix20), full_table)
     assert simplified.rendered == REFERENCE_PROGRAM
     assert simplified.complexity == 19
     assert complexity(REFERENCE_PROGRAM) == 19
