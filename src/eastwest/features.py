@@ -205,6 +205,15 @@ class FeatureMatrix:
     values: np.ndarray  # (n_trains, n_features), bool
     labels: np.ndarray  # (n_trains,), bool, True = eastbound
 
+    def __post_init__(self):
+        ids, values, labels = self.train_ids, self.values, self.labels
+        if not (isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == bool):
+            raise ValueError("feature values must be a 2-D bool array")
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype == bool):
+            raise ValueError("labels must be a 1-D bool array")
+        if not len(ids) == len(labels) == len(values):
+            raise ValueError(f"lengths differ: {len(ids)} ids, {len(labels)} labels, {len(values)} rows")
+
     @property
     def n_trains(self) -> int:
         return self.values.shape[0]

@@ -20,6 +20,19 @@ WALLS = ("double", "not_double")
 ROOFS = ("none", "flat", "jagged", "peaked", "arc")
 LOAD_SHAPES = ("circle", "hexagon", "rectangle", "triangle", "diamond", "utriangle")
 AXLES = (2, 3)
+LOAD_COUNTS = (0, 1, 2, 3)
+
+# each Car field after `position`, in dataclass order, with its closed domain:
+# Car checks every value against it and random_trains draws from it
+CAR_FIELDS = (
+    ("shape", CAR_SHAPES),
+    ("length", LENGTHS),
+    ("walls", WALLS),
+    ("roof", ROOFS),
+    ("axles", AXLES),
+    ("load_shape", LOAD_SHAPES),
+    ("load_count", LOAD_COUNTS),
+)
 
 EAST = "east"
 WEST = "west"
@@ -49,22 +62,14 @@ class Car:
     load_count: int
 
     def __post_init__(self):
-        if self.position < 1:
-            raise TrainFormatError(f"car position must be >= 1, got {self.position}")
-        if self.shape not in CAR_SHAPES:
-            raise TrainFormatError(f"unknown car shape {self.shape!r}")
-        if self.length not in LENGTHS:
-            raise TrainFormatError(f"unknown car length {self.length!r}")
-        if self.walls not in WALLS:
-            raise TrainFormatError(f"unknown wall kind {self.walls!r}")
-        if self.roof not in ROOFS:
-            raise TrainFormatError(f"unknown roof kind {self.roof!r}")
-        if self.axles not in AXLES:
-            raise TrainFormatError(f"axles must be 2 or 3, got {self.axles}")
-        if self.load_shape not in LOAD_SHAPES:
-            raise TrainFormatError(f"unknown load shape {self.load_shape!r}")
-        if not 0 <= self.load_count <= 3:
-            raise TrainFormatError(f"load count must be in 0..3, got {self.load_count}")
+        if type(self.position) is not int or self.position < 1:
+            raise TrainFormatError(f"car position must be an integer >= 1, got {self.position!r}")
+        for name, domain in CAR_FIELDS:
+            value = getattr(self, name)
+            # exact type: True or 2.0 would equal a domain value but render as
+            # text that parse_trains cannot read back
+            if type(value) is not type(domain[0]) or value not in domain:
+                raise TrainFormatError(f"car {name} must be one of {domain}, got {value!r}")
 
     @property
     def load(self) -> str | None:
@@ -81,12 +86,13 @@ class Train:
     def __post_init__(self):
         if self.label not in LABELS:
             raise TrainFormatError(f"label must be 'east' or 'west', got {self.label!r}")
-        if not self.cars:
-            raise TrainFormatError("a train must have at least one car")
-        positions = [c.position for c in self.cars]
-        if positions != list(range(1, len(self.cars) + 1)):
+        cars = self.cars
+        if not (isinstance(cars, tuple) and cars and all(isinstance(c, Car) for c in cars)):
+            raise TrainFormatError("train cars must be a nonempty tuple of Car")
+        positions = [c.position for c in cars]
+        if positions != list(range(1, len(cars) + 1)):
             raise TrainFormatError(
-                f"car positions must be exactly 1..{len(self.cars)} in order, got {positions}"
+                f"car positions must be exactly 1..{len(cars)} in order, got {positions}"
             )
 
 
@@ -203,19 +209,12 @@ def _car_from_term(term) -> Car:
     args = term[1]
     if len(args) != 7:
         raise TrainFormatError(f"car term has arity {len(args)}, expected 7")
-    pos, shape, length, walls, roof, axles, load = args
-    if not isinstance(pos, int):
-        raise TrainFormatError(f"car position must be an integer, got {pos!r}")
-    if not isinstance(axles, int):
-        raise TrainFormatError(f"axle count must be an integer, got {axles!r}")
+    *fields, load = args
     if not (isinstance(load, tuple) and load[0] == "l"):
         raise TrainFormatError(f"expected an l/2 load term, found {load!r}")
     if len(load[1]) != 2:
         raise TrainFormatError(f"load term has arity {len(load[1])}, expected 2")
-    load_shape, load_count = load[1]
-    if not isinstance(load_count, int):
-        raise TrainFormatError(f"load count must be an integer, got {load_count!r}")
-    return Car(pos, shape, length, walls, roof, axles, load_shape, load_count)
+    return Car(*fields, *load[1])
 
 
 def parse_trains(source: str) -> list[Train]:
@@ -308,21 +307,12 @@ def random_trains(count: int, seed: int) -> list[Train]:
     counts = {EAST: 0, WEST: 0}
     for _ in range(count):
         n_cars = int(rng.integers(2, 5))
-        cars = []
-        for pos in range(1, n_cars + 1):
-            cars.append(
-                Car(
-                    position=pos,
-                    shape=CAR_SHAPES[rng.integers(len(CAR_SHAPES))],
-                    length=LENGTHS[rng.integers(len(LENGTHS))],
-                    walls=WALLS[rng.integers(len(WALLS))],
-                    roof=ROOFS[rng.integers(len(ROOFS))],
-                    axles=AXLES[rng.integers(len(AXLES))],
-                    load_shape=LOAD_SHAPES[rng.integers(len(LOAD_SHAPES))],
-                    load_count=int(rng.integers(0, 4)),
-                )
-            )
+        # one draw per field, in table order; the stream is part of the output
+        cars = tuple(
+            Car(pos, *(domain[rng.integers(len(domain))] for _, domain in CAR_FIELDS))
+            for pos in range(1, n_cars + 1)
+        )
         label = EAST if rng.random() < 0.5 else WEST
         counts[label] += 1
-        trains.append(Train(f"{label}{counts[label]}", label, tuple(cars)))
+        trains.append(Train(f"{label}{counts[label]}", label, cars))
     return trains

@@ -217,8 +217,6 @@ def _prune(node, cf, values, labels, idx, bounds):
     if isinstance(node, Leaf):
         errors = n - pos if node.label == EAST else pos
         return Leaf(node.label, n), n * _bound(errors, n, cf, bounds)
-    if n == 0:
-        return node, 0.0
     col = values[idx, node.feature]
     on_true, est_t = _prune(node.on_true, cf, values, labels, idx[col], bounds)
     on_false, est_f = _prune(node.on_false, cf, values, labels, idx[~col], bounds)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,18 @@ def test_multi_totals_complexity(capsys, tmp_path):
     assert (tmp_path / "multi" / "dataset2" / "report.json").exists()
 
 
+def test_multi_text_report(capsys):
+    code, out, _ = run(capsys, ["multi", "--data", TRAINS10, "--data", TRAINS20] + FAST)
+    assert code == 0
+    *reports, totals = out.split("-" * 40 + "\n")
+    # each dataset's report is the one induce prints for it alone
+    for data, report in zip((TRAINS10, TRAINS20), reports, strict=True):
+        assert run(capsys, ["induce", "--data", data] + FAST)[1] == report
+    complexity = sum(int(re.search(r"^program complexity: (\d+)$", r, re.M)[1]) for r in reports)
+    errors = sum(int(re.search(r"^best tree: .*, errors (\d+)$", r, re.M)[1]) for r in reports)
+    assert totals == f"total complexity: {complexity}\ntotal errors: {errors}\n"
+
+
 def test_agree_command(capsys, tmp_path):
     table = build_feature_table("full")
     a = finalize(Theory(dnf=(((feature_index(table, "train_2"), 1),),)), table)
@@ -177,9 +190,11 @@ def test_gen_trains_round_trips(capsys, tmp_path):
 
 
 def test_gen_trains_to_stdout(capsys):
-    code, out, _ = run(capsys, ["gen-trains", "--count", "3", "--seed", "2"])
+    code, out, _ = run(capsys, ["gen-trains", "--count", "10", "--seed", "1"])
     assert code == 0
-    assert out.count("bound([") == 3
+    assert out.count("bound([") == 10
+    digest = "38456a32be8659feb93db21ba66b35790c49e368bda588b0303fc4e53825c4de"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_custom_feature_file(capsys, tmp_path):
@@ -215,6 +230,7 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         lambda d: ["induce", "--data", TRAINS20, "--features", _write(d / "bad.txt", "nope\n")],
         lambda d: ["induce", "--data", TRAINS20, "--features", _write(d / "f.txt", b"\xff\n")],
         lambda d: ["induce", "--data", _write(d / "bad.pl", NOT_UTF8)],
+        lambda d: ["induce", "--data", _write(d / "none.pl", "% no trains\nfoo(bar).\n")],
         lambda d: ["induce", "--data", TRAINS20, "--error-cost", "nan"],
         lambda d: ["induce", "--data", TRAINS20, "--error-cost", "inf"],
         lambda d: ["induce", "--data", TRAINS20, "--pop-size", "0"],
@@ -242,6 +258,7 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "unknown-feature-name",
         "non-utf8-features-file",
         "non-utf8-data",
+        "no-train-facts",
         "nan-error-cost",
         "inf-error-cost",
         "zero-pop-size",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eastwest.features import (
     CAR_PREDICATES,
+    FeatureMatrix,
     build_feature_table,
     evaluate_features,
     feature_index,
@@ -119,6 +120,25 @@ def test_labels_and_ids(trains20, matrix20):
     assert matrix20.n_features == 1199
     assert matrix20.labels.sum() == 10
     assert matrix20.train_ids == tuple(t.id for t in trains20)
+
+
+@pytest.mark.parametrize(
+    "n_ids,values,labels",
+    [
+        (2, np.zeros((2, 3), dtype=int), np.zeros(2, dtype=bool)),
+        (2, [[True], [False]], np.zeros(2, dtype=bool)),
+        (3, np.zeros(3, dtype=bool), np.zeros(3, dtype=bool)),
+        (2, np.zeros((2, 3), dtype=bool), np.zeros(2, dtype=int)),
+        (2, np.zeros((2, 3), dtype=bool), np.zeros((2, 1), dtype=bool)),
+        (2, np.zeros((2, 3), dtype=bool), np.zeros(3, dtype=bool)),
+        (1, np.zeros((2, 3), dtype=bool), np.zeros(2, dtype=bool)),
+    ],
+    ids=["int-values", "list-values", "1d-values", "int-labels", "2d-labels",
+         "labels-length", "ids-length"],
+)
+def test_feature_matrix_validates_its_arrays(n_ids, values, labels):
+    with pytest.raises(ValueError):
+        FeatureMatrix(tuple(f"t{i}" for i in range(n_ids)), values, labels)
 
 
 def test_unary_train_subset():

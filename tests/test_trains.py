@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eastwest.trains import (
+    CAR_FIELDS,
     Car,
     Train,
     TrainFormatError,
@@ -57,6 +61,9 @@ def test_axles_out_of_range_rejected():
         "eastbound([c(1,rectangle,short,not_double,domed,2,l(circle,1))]).",  # bad roof
         "eastbound([c(1,rectangle,short,not_double,none,2,l(star,1))]).",  # bad load shape
         "eastbound([c(1,rectangle,short,not_double,none,2,l(circle,4))]).",  # load count
+        "eastbound([c(x,rectangle,short,not_double,none,2,l(circle,1))]).",  # atom position
+        "eastbound([c(1,rectangle,short,not_double,none,two,l(circle,1))]).",  # atom axles
+        "eastbound([c(1,rectangle,short,not_double,none,2,l(circle,one))]).",  # atom load count
         "eastbound([c(2,rectangle,short,not_double,none,2,l(circle,1))]).",  # position gap
         "eastbound([c(1,rectangle,short,not_double,none,2)]).",  # arity 6
         "eastbound([]).",  # no cars
@@ -65,6 +72,42 @@ def test_axles_out_of_range_rejected():
 def test_invalid_facts_rejected(fact):
     with pytest.raises(TrainFormatError):
         parse_trains(fact)
+
+
+def test_car_fields_table_follows_the_dataclass():
+    assert [name for name, _ in CAR_FIELDS] == [f.name for f in dataclasses.fields(Car)][1:]
+
+
+GOOD_CAR = dict(
+    position=1, shape="bucket", length="short", walls="double", roof="arc",
+    axles=3, load_shape="diamond", load_count=0,
+)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("position", "x"),
+        ("position", True),
+        ("position", 0),
+        ("shape", "blob"),
+        ("load_count", "x"),
+        ("load_count", 2.5),
+        ("load_count", 4),
+        ("axles", 2.0),
+        ("load_shape", None),
+    ],
+)
+def test_bad_car_field_is_a_typed_error(field, value):
+    # True == 1 and 2.0 == 2, but they would render as text parse_trains rejects
+    with pytest.raises(TrainFormatError, match=f"^car {field} must be "):
+        Car(**{**GOOD_CAR, field: value})
+
+
+@pytest.mark.parametrize("cars", [[Car(**GOOD_CAR)], ("junk",), ()], ids=["list", "not-a-car", "empty"])
+def test_bad_train_cars_is_a_typed_error(cars):
+    with pytest.raises(TrainFormatError, match="^train cars must be a nonempty tuple of Car$"):
+        Train("east1", "east", cars)
 
 
 def test_syntax_error_carries_position():
@@ -128,6 +171,21 @@ def test_arbitrary_text_parses_or_raises_format_error(text):
 def test_random_trains_rejects_negative_count():
     with pytest.raises(ValueError):
         random_trains(-1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "count,seed,digest",
+    [
+        (300, 0, "10a270a271473ec190e81a1d267b3758c1f19d98c0d7adc04a63f78cf4f16b77"),
+        (2000, 0, "d71e6d528db827d43b7bec954d1c36f8fc7d53b095b7df23a48d862a13cf3f38"),
+        (25, 7, "d5828178a1f4865b332a6bf1faf3b518025e55e03f788a04a0319443c6905c3f"),
+    ],
+)
+def test_random_trains_stream_is_pinned(count, seed, digest):
+    # the benchmark's train pools are random_trains output, so its goldens
+    # hold only while the draws and their order stay the same
+    text = render_trains(random_trains(count, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_ids_count_per_label_in_order():

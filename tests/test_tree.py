@@ -285,6 +285,9 @@ def test_induce_validates_inputs():
     m = make_matrix([[1]], [1])
     with pytest.raises(ValueError):
         induce_tree(m, grow_only_bias(3))
+    empty = FeatureMatrix((), np.zeros((0, 1), dtype=bool), np.zeros(0, dtype=bool))
+    with pytest.raises(ValueError, match="at least one example"):
+        induce_tree(empty, grow_only_bias(1))
 
 
 def test_induce_rejects_a_memo_of_another_matrix():
@@ -342,6 +345,16 @@ def test_helpful_split_is_kept():
     m = make_matrix([[1], [1], [0], [0]], [1, 1, 0, 0])
     tree = Node(0, Leaf(EAST), Leaf(WEST))
     assert prune(tree, 50.0, m) == Node(0, Leaf(EAST, 2), Leaf(WEST, 2))
+
+
+def test_prune_recounts_a_branch_that_receives_no_example():
+    # both rows take the on_true branch, so the on_false leaves now hold 0
+    # examples; a tie in the estimates (0 < 0 is false) keeps the structure
+    m = make_matrix([[1, 1], [1, 0]], [0, 1])
+    tree = Node(0, Node(1, Leaf(WEST, 7), Leaf(EAST, 9)), Node(1, Leaf(EAST, 3), Leaf(WEST, 4)))
+    assert prune(tree, 25.0, m) == Node(
+        0, Node(1, Leaf(WEST, 1), Leaf(EAST, 1)), Node(1, Leaf(EAST, 0), Leaf(WEST, 0))
+    )
 
 
 def test_single_leaf_unchanged_at_any_cf():
