@@ -84,6 +84,8 @@ class Train:
     cars: tuple[Car, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and self.id):
+            raise TrainFormatError(f"train id must be a nonempty string, got {self.id!r}")
         if self.label not in LABELS:
             raise TrainFormatError(f"label must be 'east' or 'west', got {self.label!r}")
         cars = self.cars
@@ -150,6 +152,17 @@ def program_size(tokens) -> int:
     return sum(tok[0] in _SIZED_KINDS for tok in tokens)
 
 
+class _Compound(tuple):
+    """A parsed compound term, `(name, args)`, whose repr is its Prolog text
+    (`f(a)`), so error messages quote the term as the input wrote it."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        name, args = self
+        return f"{name}({','.join(map(str, args))})"
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -192,7 +205,7 @@ class _Parser:
                 self.next()
                 args.append(self.parse_term())
             self.expect(")")
-            return tok[1], tuple(args)
+            return _Compound((tok[1], tuple(args)))
         return tok[1]
 
     def skip_clause(self):

@@ -39,7 +39,7 @@ class BiasVector:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1:
             raise ValueError("bias weights must be a 1-d vector")
-        if not np.all((w >= 0) & (w <= B_MAX)):  # NaN fails both comparisons
+        if w.size and not (w.min() >= 0 and w.max() <= B_MAX):  # NaN fails both comparisons
             raise ValueError(f"bias weights must lie in [0, {B_MAX}]")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
@@ -117,14 +117,23 @@ def _majority(pos: int, n: int) -> str:
     return EAST if pos >= n - pos else WEST
 
 
+def _row_bitsets(matrix: FeatureMatrix) -> tuple[int, list[int], int]:
+    """(east rows, each feature's true rows, all rows) as int bitsets; bit i is row i."""
+    packed = np.packbits(matrix.values, axis=0, bitorder="little").T  # one row per feature
+    cols = [int.from_bytes(column.tobytes(), "little") for column in packed]
+    east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
+    return east, cols, (1 << matrix.n_trains) - 1
+
+
 class InductionMemo:
     """Work that the trees induced over one matrix in one evolve run share.
 
+    An example subset is an int bitset, bit i standing for matrix row i.
     Each entry depends on its key alone, never on the genome being induced:
+    - `east`, `cols`, `everyone`: the `_row_bitsets` of the matrix;
     - `entropy`: the `_entropy_table` of the matrix's size;
-    - `splits`: for each example subset (its index bytes), the features
-      whose gain exceeds `_GAIN_EPS` there, as small unsigned indices, and
-      their gains;
+    - `splits`: for each example subset, the features whose gain exceeds
+      `_GAIN_EPS` there, as small unsigned indices, and their gains;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
     - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
       fills it, under the one cost vector and error cost of its run.
@@ -132,36 +141,40 @@ class InductionMemo:
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
+        self.east, self.cols, self.everyone = _row_bitsets(matrix)
         self.entropy = _entropy_table(matrix.n_trains)
-        self.splits: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.bounds: dict[tuple[int, int, float], float] = {}
         self.fitness: dict = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
 
-    def candidates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(features with gain > _GAIN_EPS over the examples idx, their gains)."""
-        key = idx.tobytes()
-        found = self.splits.get(key)
+    def candidates(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(features with gain > _GAIN_EPS over the example subset s, their gains)."""
+        found = self.splits.get(s)
         if found is None:
-            y = self.matrix.labels[idx]
             gains = np.zeros(self.matrix.n_features)
-            if 0 < np.count_nonzero(y) < idx.size:  # a pure subset has no gain
-                gains = _gains(self.matrix.values[idx], y, self.entropy)
+            if 0 < (s & self.east).bit_count() < s.bit_count():  # a pure subset has no gain
+                # ascending row indices, so the sums run in the same order as over an index array
+                width = (self.matrix.n_trains + 7) // 8
+                packed = np.frombuffer(s.to_bytes(width, "little"), dtype=np.uint8)
+                idx = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+                gains = _gains(self.matrix.values[idx], self.matrix.labels[idx], self.entropy)
             # a feature already tested on the path is constant here, so its gain is 0
             cand = np.flatnonzero(gains > _GAIN_EPS)
-            found = self.splits[key] = (cand.astype(self._index), gains[cand])
+            found = self.splits[s] = (cand.astype(self._index), gains[cand])
         return found
 
 
-def _grow(idx, weights, omega, memo):
-    cand, gains = memo.candidates(idx)
+def _grow(s, weights, omega, memo):
+    cand, gains = memo.candidates(s)
     if not cand.size:
-        return Leaf(_majority(int(np.count_nonzero(memo.matrix.labels[idx])), idx.size), idx.size)
+        n = s.bit_count()
+        return Leaf(_majority((s & memo.east).bit_count(), n), n)
     # every candidate's score is finite and positive, so this is the argmax
     # over all features with the non-candidates scored -inf
     best = int(cand[np.argmax(selection_criterion(gains, weights[cand], omega))])
-    col = memo.matrix.values[idx, best]
-    return Node(best, _grow(idx[col], weights, omega, memo), _grow(idx[~col], weights, omega, memo))
+    t = s & memo.cols[best]
+    return Node(best, _grow(t, weights, omega, memo), _grow(s ^ t, weights, omega, memo))
 
 
 def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | None = None) -> Tree:
@@ -180,7 +193,7 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
         memo = InductionMemo(matrix)
     elif memo.matrix is not matrix:
         raise ValueError("memo belongs to another feature matrix")
-    tree = _grow(np.arange(matrix.n_trains), bias.weights, bias.omega, memo)
+    tree = _grow(memo.everyone, bias.weights, bias.omega, memo)
     return prune(tree, bias.cf, matrix, memo)
 
 
@@ -210,21 +223,25 @@ def _bound(errors: int, n: int, cf: float, bounds: dict) -> float:
     return found
 
 
-def _prune(node, cf, values, labels, idx, bounds):
-    """Returns (pruned subtree, pessimistic error estimate over idx)."""
-    n = idx.size
-    pos = int(np.count_nonzero(labels[idx]))
+def _prune(node, cf, s, east, cols, bounds):
+    """Returns (pruned subtree, pessimistic error estimate over the example subset s);
+    a subtree whose counts and children come out unchanged is returned as is."""
+    n = s.bit_count()
+    pos = (s & east).bit_count()
     if isinstance(node, Leaf):
         errors = n - pos if node.label == EAST else pos
-        return Leaf(node.label, n), n * _bound(errors, n, cf, bounds)
-    col = values[idx, node.feature]
-    on_true, est_t = _prune(node.on_true, cf, values, labels, idx[col], bounds)
-    on_false, est_f = _prune(node.on_false, cf, values, labels, idx[~col], bounds)
+        est = n * _bound(errors, n, cf, bounds)
+        return (node if node.n_examples == n else Leaf(node.label, n)), est
+    t = s & cols[node.feature]
+    on_true, est_t = _prune(node.on_true, cf, t, east, cols, bounds)
+    on_false, est_f = _prune(node.on_false, cf, s ^ t, east, cols, bounds)
     subtree_est = est_t + est_f
     # the majority label errs on the minority
     leaf_est = n * _bound(min(pos, n - pos), n, cf, bounds)
     if leaf_est < subtree_est:
         return Leaf(_majority(pos, n), n), leaf_est
+    if on_true is node.on_true and on_false is node.on_false:
+        return node, subtree_est
     return Node(node.feature, on_true, on_false), subtree_est
 
 
@@ -232,20 +249,30 @@ def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | No
     """Pessimistic leaf-replacement pruning at confidence level cf (percent)."""
     if not CF_MIN <= cf <= CF_MAX:
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
-    bounds = {} if memo is None else memo.bounds
-    idx = np.arange(matrix.n_trains)
-    pruned, _ = _prune(tree, cf, matrix.values, matrix.labels, idx, bounds)
+    if memo is None:
+        # the row bitsets alone: the entropy table is (N + 1)**2 floats
+        (east, cols, everyone), bounds = _row_bitsets(matrix), {}
+    elif memo.matrix is not matrix:
+        raise ValueError("memo belongs to another feature matrix")
+    else:
+        east, cols, everyone, bounds = memo.east, memo.cols, memo.everyone, memo.bounds
+    pruned, _ = _prune(tree, cf, everyone, east, cols, bounds)
     return pruned
+
+
+def _predict(node, values, idx, out):
+    if isinstance(node, Leaf):
+        out[idx] = node.label == EAST
+        return
+    col = values[idx, node.feature]
+    _predict(node.on_true, values, idx[col], out)
+    _predict(node.on_false, values, idx[~col], out)
 
 
 def predict_all(tree: Tree, matrix: FeatureMatrix) -> np.ndarray:
     """Boolean predictions (True = east) for every row of the matrix."""
     predictions = np.empty(matrix.n_trains, dtype=bool)
-    for i, row in enumerate(matrix.values):
-        node = tree
-        while isinstance(node, Node):
-            node = node.on_true if row[node.feature] else node.on_false
-        predictions[i] = node.label == EAST
+    _predict(tree, matrix.values, np.arange(matrix.n_trains), predictions)
     return predictions
 
 

@@ -245,6 +245,21 @@ def reference_induce(matrix, bias):
     return prune(grow(everyone), everyone)[0]
 
 
+def reference_predict(tree, matrix):
+    """Predictions (True = east) of a tree, walked from the root once for each row."""
+    import numpy as np
+
+    from eastwest.tree import Node
+
+    out = np.empty(matrix.n_trains, dtype=bool)
+    for i, row in enumerate(matrix.values):
+        node = tree
+        while isinstance(node, Node):
+            node = node.on_true if row[node.feature] else node.on_false
+        out[i] = node.label == "east"
+    return out
+
+
 # --- fixpoint DNF simplification ---------------------------------------------
 
 def reference_simplify(theory, matrix):

@@ -220,6 +220,10 @@ def _write(path, content):
     return str(path)
 
 
+COMPOUND_FIELD = "eastbound([c(1,rectangle,f(a),not_double,none,2,l(circle,1))]).\n"
+# the error line quotes a term as the input spells it, not as a Python value
+ERROR_TEXT = {"compound-car-field": "car length must be one of ('long', 'short'), got f(a)\n"}
+
 NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
 
 
@@ -252,6 +256,7 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         ],
         lambda d: ["gen-trains", "--out", str(d / "missing" / "random.pl")],
         lambda d: ["induce", "--data", TRAINS20, "--emit-dir", _write(d / "file", "")] + FAST,
+        lambda d: ["induce", "--data", _write(d / "compound.pl", COMPOUND_FIELD)],
     ],
     ids=[
         "empty-features-file",
@@ -275,14 +280,16 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "theory-literal-not-0-or-1",
         "gen-trains-out-in-missing-dir",
         "emit-dir-is-a-file",
+        "compound-car-field",
     ],
 )
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, request, case):
     code, out, err = run(capsys, case(tmp_path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert err.endswith(ERROR_TEXT.get(request.node.callspec.id, "")), err
 
 
 def _cli_import_loads(module):

@@ -110,6 +110,12 @@ def test_bad_train_cars_is_a_typed_error(cars):
         Train("east1", "east", cars)
 
 
+@pytest.mark.parametrize("train_id", [5, "", None, b"east1"], ids=["int", "empty", "none", "bytes"])
+def test_bad_train_id_is_a_typed_error(train_id):
+    with pytest.raises(TrainFormatError, match="^train id must be a nonempty string, got "):
+        Train(train_id, "east", (Car(**GOOD_CAR),))
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(TrainFormatError) as exc:
         parse_trains("eastbound([c(1, rectangle, short, not_double, none, 2, ?")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import beta
 from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features
 from eastwest.trains import random_trains
 from eastwest.tree import (
+    B_MAX,
     EAST,
     WEST,
     _GAIN_EPS,
@@ -36,6 +38,7 @@ from oracles import (
     binomial_upper_bound,
     float_gains,
     information_gain_oracle,
+    reference_predict,
     selection_score_oracle,
 )
 
@@ -279,6 +282,16 @@ def test_bias_vector_validation():
         BiasVector(np.array([[1.0]]), 0.5, 50.0)
     with pytest.raises(ValueError):
         BiasVector(np.array([np.nan]), 0.5, 50.0)
+    with pytest.raises(ValueError):
+        BiasVector(np.array([np.inf]), 0.5, 50.0)
+    with pytest.raises(ValueError):
+        BiasVector(np.array([-1e-300]), 0.5, 50.0)
+    one_bad_gene = np.full(1199, 5.0)
+    one_bad_gene[599] = B_MAX * 1.5
+    with pytest.raises(ValueError):
+        BiasVector(one_bad_gene, 0.5, 50.0)
+    assert BiasVector(np.zeros(0), 0.5, 50.0).weights.size == 0
+    assert BiasVector(np.array([0.0, B_MAX]), 0.5, 50.0).weights.size == 2
 
 
 def test_induce_validates_inputs():
@@ -296,6 +309,8 @@ def test_induce_rejects_a_memo_of_another_matrix():
     assert induce_tree(a, grow_only_bias(1), InductionMemo(a)) == induce_tree(a, grow_only_bias(1))
     with pytest.raises(ValueError):
         induce_tree(b, grow_only_bias(1), InductionMemo(a))
+    with pytest.raises(ValueError):
+        prune(Leaf(EAST), 50.0, b, InductionMemo(a))
 
 
 # --- pruning ----------------------------------------------------------------
@@ -363,27 +378,27 @@ def test_single_leaf_unchanged_at_any_cf():
         assert prune(Leaf(EAST), cf, m) == Leaf(EAST, 2)
 
 
-def test_prune_decision_matches_reference_implementation():
-    def reference_prune(node, cf, m, idx):
-        y = m.labels[idx]
-        if isinstance(node, Leaf):
-            errors = int((y != (node.label == EAST)).sum()) if idx.size else 0
-            return Leaf(node.label, idx.size), idx.size * binomial_upper_bound(
-                errors, idx.size, cf
-            )
-        if idx.size == 0:
-            return node, 0.0
-        col = m.values[idx, node.feature]
-        on_true, est_t = reference_prune(node.on_true, cf, m, idx[col])
-        on_false, est_f = reference_prune(node.on_false, cf, m, idx[~col])
-        pos = int(y.sum())
-        label = EAST if pos >= y.size - pos else WEST
-        errors = int((y != (label == EAST)).sum())
-        leaf_est = idx.size * binomial_upper_bound(errors, idx.size, cf)
-        if leaf_est < est_t + est_f:
-            return Leaf(label, idx.size), leaf_est
-        return Node(node.feature, on_true, on_false), est_t + est_f
+def reference_prune(node, cf, m, idx):
+    """Prune over the example index array idx, recounting every node."""
+    y = m.labels[idx]
+    if isinstance(node, Leaf):
+        errors = int((y != (node.label == EAST)).sum()) if idx.size else 0
+        return Leaf(node.label, idx.size), idx.size * binomial_upper_bound(
+            errors, idx.size, cf
+        )
+    col = m.values[idx, node.feature]
+    on_true, est_t = reference_prune(node.on_true, cf, m, idx[col])
+    on_false, est_f = reference_prune(node.on_false, cf, m, idx[~col])
+    pos = int(y.sum())
+    label = EAST if pos >= y.size - pos else WEST
+    errors = int((y != (label == EAST)).sum())
+    leaf_est = idx.size * binomial_upper_bound(errors, idx.size, cf)
+    if leaf_est < est_t + est_f:
+        return Leaf(label, idx.size), leaf_est
+    return Node(node.feature, on_true, on_false), est_t + est_f
 
+
+def test_prune_decision_matches_reference_implementation():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 2, (12, 5)).astype(bool)
@@ -393,6 +408,51 @@ def test_prune_decision_matches_reference_implementation():
         for cf in (5.0, 30.0, 70.0, 99.0):
             want, _ = reference_prune(grown, cf, m, np.arange(12))
             assert tree_signature(prune(grown, cf, m)) == tree_signature(want)
+
+
+def random_trees(n_features):
+    """Trees of any shape, not grown from data: a feature may repeat on a
+    path, so some branches receive no example, and leaf counts are arbitrary."""
+    leaves = st.builds(Leaf, st.sampled_from([EAST, WEST]), st.integers(0, 30))
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(Node, st.integers(0, n_features - 1), sub, sub),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def matrices_and_trees(draw):
+    n = draw(st.integers(1, 25))
+    n_features = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((n, n_features)) < rng.random(n_features)
+    labels = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return make_matrix(values, labels), draw(random_trees(n_features))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_and_trees(), st.floats(1.0, 99.0))
+def test_prune_of_random_trees_matches_reference(matrix_and_tree, cf):
+    m, tree = matrix_and_tree
+    want, _ = reference_prune(tree, cf, m, np.arange(m.n_trains))
+    assert prune(tree, cf, m) == want  # Leaf equality also compares n_examples
+    assert prune(tree, cf, m, InductionMemo(m)) == want
+
+
+def test_standalone_prune_builds_no_entropy_table():
+    # an (N + 1)**2 entropy table of 2000 rows would take 32 MB
+    rng = np.random.default_rng(0)
+    m = make_matrix(rng.random((2000, 3)) < 0.5, rng.random(2000) < 0.5)
+    tree = Node(0, Node(1, Leaf(EAST), Leaf(WEST)), Node(2, Leaf(WEST), Leaf(EAST)))
+    prune(tree, 25.0, m)  # imports scipy.special outside the traced call
+    tracemalloc.start()
+    try:
+        prune(tree, 25.0, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pruning_monotone_in_cf():
@@ -412,6 +472,24 @@ def test_prune_rejects_bad_cf():
 
 
 # --- fitness ----------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_and_trees())
+def test_predict_all_matches_row_loop_on_random_trees(matrix_and_tree):
+    m, tree = matrix_and_tree
+    assert np.array_equal(predict_all(tree, m), reference_predict(tree, m))
+
+
+def test_predict_all_matches_row_loop_on_grown_trees():
+    for seed in range(20):
+        rng = np.random.default_rng(300 + seed)
+        values = rng.integers(0, 2, (30, 8)).astype(bool)
+        labels = rng.integers(0, 2, 30).astype(bool)
+        m = make_matrix(values, labels)
+        for cf in (1.0, 50.0, 100.0):
+            tree = induce_tree(m, BiasVector(rng.uniform(0, B_MAX, 8), 0.5, cf))
+            assert np.array_equal(predict_all(tree, m), reference_predict(tree, m))
+
 
 def test_majority_leaf_on_balanced_data():
     values = np.zeros((20, 1), dtype=bool)
