@@ -237,7 +237,7 @@ class _ProgParser(_Parser):
     def parse_arg(self):
         tok = self.next()
         if tok[0] not in ("var", "int", "atom"):
-            raise self.error(f"expected an argument, found {tok[0]!r}", tok)
+            raise self.error(f"expected an argument, found {tok[0]!r}", self.i - 1)
 
 
 def complexity(program_text: str) -> int:
@@ -263,9 +263,9 @@ def complexity(program_text: str) -> int:
 
 def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
     """East iff some conjunction is satisfied by the train's feature values."""
-    vector = predicate_vector(train)
+    row = predicate_vector(train).tobytes()  # one byte, 0 or 1, per slot
     for conj in theory.dnf:
-        if all(vector[table[feat].slot] == bool(val) for feat, val in conj):
+        if all(row[table[feat].slot] == bool(val) for feat, val in conj):
             return EAST
     return WEST
 

@@ -100,41 +100,50 @@ class Train:
 
 # --- tokenizer and token cursor (shared with the program scorer) ----------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<neck>:-)
-      | (?P<int>\d+)
-      | (?P<atom>[a-z][A-Za-z0-9_]*)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\],.;])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# one group-free pattern; a token's kind is read from its first character
+_TOKEN_RE = re.compile(r"%[^\n]*|:-|\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|\S")
+
+# kind of a token by its first character; punctuation is its own kind.  A
+# first character missing here starts a comment, `:-`, a non-ASCII decimal
+# integer (only `\d` matches one) or a bad character.
+_KINDS = {
+    **dict.fromkeys("0123456789", "int"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "atom"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "var"),
+    **{c: c for c in "()[],.;"},
+}
 
 # what peek() returns past the last token
-_END = (None, "", 0)
+_END = (None, "")
 
 
-def _position(source: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of a character offset."""
+def _token_position(source: str, index: int) -> tuple[int, int]:
+    """1-based (line, column) of the index-th token, or of the text's start
+    when there is no such token.
+
+    Tokens carry no offsets: the text is rescanned, only when an error is
+    raised.
+    """
+    starts = [m.start() for m in _TOKEN_RE.finditer(source) if source[m.start()] != "%"]
+    offset = starts[index] if index < len(starts) else 0
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def _tokenize(source: str):
-    """Tokens as (kind, text, offset); punctuation is its own kind."""
+    """Tokens as (kind, text); comments are dropped."""
     tokens = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "bad":
-            raise TrainFormatError(f"unexpected character {m.group()!r}", *_position(source, m.start()))
-        text = m.group()
-        if kind == "punct":
-            kind = text
-        tokens.append((kind, text, m.start()))
+    for text in _TOKEN_RE.findall(source):
+        kind = _KINDS.get(text[0])
+        if kind is None:
+            if text[0] == "%":
+                continue
+            if text == ":-":
+                kind = "neck"
+            elif text[0].isdecimal():
+                kind = "int"
+            else:
+                raise TrainFormatError(f"unexpected character {text!r}", *_token_position(source, len(tokens)))
+        tokens.append((kind, text))
     return tokens
 
 
@@ -169,8 +178,9 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.i = 0
 
-    def error(self, message: str, tok) -> TrainFormatError:
-        return TrainFormatError(message, *_position(self.source, tok[2]))
+    def error(self, message: str, index: int) -> TrainFormatError:
+        """The error at the index-th token."""
+        return TrainFormatError(message, *_token_position(self.source, index))
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else _END
@@ -178,14 +188,14 @@ class _Parser:
     def next(self):
         tok = self.peek()
         if tok is _END:
-            raise self.error("unexpected end of input", self.tokens[-1] if self.tokens else _END)
+            raise self.error("unexpected end of input", max(len(self.tokens) - 1, 0))
         self.i += 1
         return tok
 
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", self.i - 1)
         return tok
 
     def parse_term(self):
@@ -195,9 +205,9 @@ class _Parser:
             try:
                 return int(tok[1])
             except ValueError:  # beyond the interpreter's int-conversion limit
-                raise self.error(f"integer of {len(tok[1])} digits is too long", tok) from None
+                raise self.error(f"integer of {len(tok[1])} digits is too long", self.i - 1) from None
         if tok[0] != "atom":
-            raise self.error(f"expected a ground term, found {tok[1]!r}", tok)
+            raise self.error(f"expected a ground term, found {tok[1]!r}", self.i - 1)
         if self.peek()[0] == "(":
             self.next()
             args = [self.parse_term()]
@@ -246,6 +256,7 @@ def _parse_facts(parser: _Parser) -> list[Train]:
     trains: list[Train] = []
     counts = {EAST: 0, WEST: 0}
     while parser.peek() is not _END:
+        start = parser.i
         tok = parser.next()
         if tok[0] == "atom" and tok[1] in ("eastbound", "westbound"):
             if parser.peek()[0] != "(":
@@ -257,12 +268,12 @@ def _parse_facts(parser: _Parser) -> list[Train]:
             parser.expect("[")
             cars = []
             while True:
-                term_tok = parser.peek()
+                term_start = parser.i
                 term = parser.parse_term()
                 try:
                     cars.append(_car_from_term(term))
                 except TrainFormatError as exc:
-                    raise parser.error(str(exc), term_tok) from None
+                    raise parser.error(str(exc), term_start) from None
                 if parser.peek()[0] != ",":
                     break
                 parser.next()
@@ -274,7 +285,7 @@ def _parse_facts(parser: _Parser) -> list[Train]:
             try:
                 trains.append(Train(train_id, label, tuple(cars)))
             except TrainFormatError as exc:
-                raise parser.error(f"{train_id}: {exc}", tok) from None
+                raise parser.error(f"{train_id}: {exc}", start) from None
         elif tok[0] != ".":
             parser.skip_clause()
     return trains

@@ -6,6 +6,46 @@ so a bug in the vectorized implementations cannot hide in its own oracle.
 """
 
 import math
+import re
+
+# --- tokenizer with named groups and offsets -------------------------------
+
+_NAMED_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>%[^\n]*)
+      | (?P<neck>:-)
+      | (?P<int>\d+)
+      | (?P<atom>[a-z][A-Za-z0-9_]*)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<punct>[()\[\],.;])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(source: str):
+    """Tokens as (kind, text, offset), read off one named group per kind;
+    punctuation is its own kind and whitespace and comments are dropped.
+
+    A bad character raises TrainFormatError at its line and column.
+    """
+    from eastwest.trains import TrainFormatError
+
+    tokens = []
+    for m in _NAMED_TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        if kind == "bad":
+            offset = m.start()
+            line = source.count("\n", 0, offset) + 1
+            column = offset - source.rfind("\n", 0, offset)
+            raise TrainFormatError(f"unexpected character {m.group()!r}", line, column)
+        text = m.group()
+        tokens.append((text if kind == "punct" else kind, text, m.start()))
+    return tokens
+
 
 # --- brute-force feature evaluation ----------------------------------------
 

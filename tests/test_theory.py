@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eastwest.features import evaluate_features, feature_index
+from eastwest.features import build_feature_table, evaluate_features, feature_index
 from eastwest.theory import (
     ProgramSyntaxError,
     Theory,
@@ -274,6 +274,33 @@ def test_classify_matches_evaluate_dnf(reference_tree, matrix20, full_table):
         want = evaluate_dnf(theory.dnf, matrix.values)
         got = [classify(theory, train, full_table) == EAST for train in trains]
         assert got == list(want)
+
+
+# tables whose feature indices differ from their predicate_vector slots
+SUBSET_TABLES = (
+    build_feature_table("unary_train"),
+    build_feature_table(
+        ["u_shaped", "short_closed", "long_infront_circle_load", "bucket_long", "train_3", "train_circle"]
+    ),
+)
+
+
+def dnfs(n_features):
+    literal = st.tuples(st.integers(0, n_features - 1), st.sampled_from((0, 1)))
+    return st.lists(st.lists(literal, max_size=4).map(tuple), max_size=4).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(SUBSET_TABLES), st.integers(0, 10**6))
+def test_classify_and_agreement_match_the_matrix_on_subset_tables(data, table, seed):
+    trains = random_trains(12, seed)
+    values = evaluate_features(trains, table).values
+    a, b = (Theory(dnf=data.draw(dnfs(len(table)))) for _ in range(2))
+    for theory in (a, b):
+        got = [classify(theory, train, table) == EAST for train in trains]
+        assert got == list(evaluate_dnf(theory.dnf, values))
+    same = evaluate_dnf(a.dnf, values) == evaluate_dnf(b.dnf, values)
+    assert agreement(a, b, trains, table) == same.sum() / len(trains)
 
 
 def test_always_west_theory_classifies_everything_west(trains20, full_table):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from eastwest.trains import (
     Car,
     Train,
     TrainFormatError,
+    _tokenize,
     load_trains,
     parse_trains,
     random_trains,
@@ -17,6 +19,8 @@ from eastwest.trains import (
     render_train,
     render_trains,
 )
+
+from oracles import reference_tokenize
 
 FIRST_TRAIN_FACT = (
     "eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1)), "
@@ -123,19 +127,34 @@ def test_syntax_error_carries_position():
     assert exc.value.column is not None
 
 
-@pytest.mark.parametrize(
-    "line3,column,message",
-    [
-        ("  eastbound([c(1, ?", 19, "unexpected character '?'"),
-        ("    eastbound([c(1,rectangle,short,not_double,none,2)]).", 16,
-         "car term has arity 6, expected 7"),
-        ("westbound([c(" + "7" * 5000 + ",", 14, "integer of 5000 digits is too long"),
-    ],
-    ids=["unexpected-character", "car-arity", "over-long-integer"],
+CARS_1_3 = (
+    "c(1,rectangle,short,not_double,none,2,l(circle,1)), "
+    "c(3,rectangle,short,not_double,none,2,l(circle,1))"
 )
-def test_errors_carry_line_and_column(line3, column, message):
+
+
+@pytest.mark.parametrize(
+    "source,column,message",
+    [
+        ("% header\n\n  eastbound([c(1, ?\n", 19, "unexpected character '?'"),
+        ("% header\n\n    eastbound([c(1,rectangle,short,not_double,none,2)]).\n", 16,
+         "car term has arity 6, expected 7"),
+        ("% header\n\nwestbound([c(" + "7" * 5000 + ",\n", 14, "integer of 5000 digits is too long"),
+        ("eastbound(\n% a comment line\n[c(1,rectangle)]).\n", 2, "car term has arity 2, expected 7"),
+        (FIRST_TRAIN_FACT + "\n% note\neastbound([c(1, % trailing comment", 15,
+         "unexpected end of input"),
+        ("% header\r\n\r\n  eastbound([c(1, ?\r\n", 19, "unexpected character '?'"),
+        ("% header\r\n\r\nwestbound([" + CARS_1_3 + "]).\r\n", 1,
+         "west1: car positions must be exactly 1..2 in order, got [1, 3]"),
+    ],
+    ids=[
+        "unexpected-character", "car-arity", "over-long-integer", "after-comment-line",
+        "end-after-trailing-comment", "crlf-character", "crlf-train",
+    ],
+)
+def test_errors_carry_line_and_column(source, column, message):
     with pytest.raises(TrainFormatError) as exc:
-        parse_trains("% header\n\n" + line3 + "\n")
+        parse_trains(source)
     assert (exc.value.line, exc.value.column) == (3, column)
     assert str(exc.value) == f"line 3, column {column}: {message}"
 
@@ -172,6 +191,39 @@ def test_arbitrary_text_parses_or_raises_format_error(text):
     except TrainFormatError:
         return
     assert all(isinstance(t, Train) for t in trains)
+
+
+# pieces that reach every branch of the tokenizer: a non-ASCII digit, a
+# non-ASCII letter, a no-break space, a lone ':', comments with and without a
+# final newline, CRLF and an integer past the int-conversion limit
+TOKEN_PIECES = TRAIN_PIECES + (
+    "\u0663", "\u00e9", "\u00a0", ":", "% note", "% note\n", "\r\n", "_x", "Ab9", "7" * 5000,
+)
+
+
+def tokenize_or_error(tokenize, text):
+    try:
+        return [tok[:2] for tok in tokenize(text)]
+    except TrainFormatError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TOKEN_PIECES), max_size=60).map("".join)))
+def test_tokenize_matches_named_group_reference(text):
+    assert tokenize_or_error(_tokenize, text) == tokenize_or_error(reference_tokenize, text)
+
+
+def test_parse_peak_memory_of_2000_trains():
+    # about 16-17 MB when every token carried its character offset, 11-13 MB without
+    text = render_trains(random_trains(2000, 0))
+    tracemalloc.start()
+    try:
+        parse_trains(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 def test_random_trains_rejects_negative_count():
