@@ -22,6 +22,7 @@ binds the car variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,15 +105,33 @@ TRAIN_PREDICATES: tuple[Predicate, ...] = tuple(
 PREDICATES = {p.name: p for p in CAR_PREDICATES + TRAIN_PREDICATES}
 
 
-# block offsets in predicate_vector()
+# block offsets in predicate_bits()
 _N_CAR = len(CAR_PREDICATES)
 _SAME_CAR = _N_CAR
 _INFRONT = _SAME_CAR + _N_CAR * _N_CAR
 _TRAIN = _INFRONT + _N_CAR * _N_CAR
-_VECTOR_LEN = _TRAIN + len(TRAIN_PREDICATES)
+_VECTOR_BYTES = (_TRAIN + len(TRAIN_PREDICATES) + 7) // 8
 
 # the unary entries that train_<s> repeats: "some car carries s" is <s>_load
 _CARRIED = [[p.name for p in CAR_PREDICATES].index(f"{s}_load") for s in LOAD_SHAPES]
+
+
+def _car_bits() -> dict[str, dict]:
+    """Per car attribute, value -> (mask, spread) over the car predicates the
+    value satisfies: bit i of mask and bit 28*i of spread for each such i."""
+    tables: dict[str, dict] = {}
+    for i, p in enumerate(CAR_PREDICATES):
+        table = tables.setdefault(p.attribute, {})
+        for value in p.values:
+            mask, spread = table.get(value, (0, 0))
+            table[value] = (mask | 1 << i, spread | 1 << _N_CAR * i)
+    return tables
+
+
+_CAR_BITS = _car_bits()
+_car_values = attrgetter(*_CAR_BITS)  # one car's values of the _CAR_BITS attributes
+_NO_BITS = (0, 0)  # a value no car predicate holds for: Car.load of None
+_LENGTH_BITS = {n: 1 << _TRAIN + k for k, n in enumerate(TRAIN_LENGTHS)}
 
 
 @dataclass(frozen=True)
@@ -124,7 +143,7 @@ class FeatureSpec:
     name: str
     cost: int
     components: tuple[str, ...]  # car predicate names, or the train predicate name
-    slot: int  # position of the feature's value in predicate_vector()
+    slot: int  # bit of the feature's value in predicate_bits()
 
 
 def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[FeatureSpec]:
@@ -223,33 +242,42 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def predicate_vector(train: Train) -> np.ndarray:
+def predicate_bits(train: Train) -> int:
     """Every car-predicate combination and train predicate of one train.
 
-    Laid out as [28 unary | 28x28 same-car | 28x28 infront | 9 train]; a
-    feature's value is the entry at its `slot`.
+    Bit `k` of the int is slot `k` of the layout [28 unary | 28x28 same-car |
+    28x28 infront | 9 train]; a feature's value is the bit at its `slot`.
     """
-    P = np.array(
-        [[getattr(c, p.attribute) in p.values for p in CAR_PREDICATES] for c in train.cars],
-        dtype=bool,
-    )
-    some_car = P.any(axis=0)
-    return np.concatenate(
-        [
-            some_car,
-            (P.T @ P).ravel(),  # some car satisfies both
-            (P[:-1].T @ P[1:]).ravel(),  # adjacent cars; all False for one car
-            [len(train.cars) == n for n in TRAIN_LENGTHS],
-            some_car[_CARRIED],
-        ]
-    )
+    bits = 0
+    in_front = 0  # spread of the previous car
+    for car in train.cars:
+        mask = spread = 0
+        for table, value in zip(_CAR_BITS.values(), _car_values(car)):
+            m, s = table.get(value, _NO_BITS)
+            mask |= m
+            spread |= s
+        # spread * mask is the OR of mask << 28*i over the predicates i that
+        # set bit 28*i of spread: the copies fill disjoint rows, so nothing carries
+        bits |= mask | spread * mask << _SAME_CAR | in_front * mask << _INFRONT
+        in_front = spread
+    bits |= _LENGTH_BITS.get(len(train.cars), 0)
+    for k, i in enumerate(_CARRIED):
+        bits |= (bits >> i & 1) << _TRAIN + len(TRAIN_LENGTHS) + k
+    return bits
 
 
 def evaluate_features(trains: Sequence[Train], table: Sequence[FeatureSpec]) -> FeatureMatrix:
     """Evaluate every feature in `table` on every train."""
-    vectors = np.empty((len(trains), _VECTOR_LEN), dtype=bool)
-    for row, train in zip(vectors, trains):
-        row[:] = predicate_vector(train)
-    values = vectors[:, [spec.slot for spec in table]]
+    packed = bytearray(len(trains) * _VECTOR_BYTES)
+    for row, train in enumerate(trains):
+        start = row * _VECTOR_BYTES
+        packed[start:start + _VECTOR_BYTES] = predicate_bits(train).to_bytes(_VECTOR_BYTES, "little")
+    # bit k of a train's int is bit k % 8 of byte k // 8 of its bytes
+    slots = np.array([spec.slot for spec in table], dtype=np.intp)
+    values = np.frombuffer(packed, np.uint8).reshape(-1, _VECTOR_BYTES)[:, slots >> 3]
+    del packed
+    values >>= (slots & 7).astype(np.uint8)
+    values &= 1
+    values = values.view(bool)
     labels = np.array([t.label == EAST for t in trains], dtype=bool)
     return FeatureMatrix(tuple(t.id for t in trains), values, labels)

@@ -23,7 +23,7 @@ from .features import (
     PREDICATES,
     FeatureMatrix,
     FeatureSpec,
-    predicate_vector,
+    predicate_bits,
 )
 from .trains import EAST, WEST, Train, TrainFormatError, _Parser, program_size
 from .tree import Leaf, Tree
@@ -263,9 +263,9 @@ def complexity(program_text: str) -> int:
 
 def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
     """East iff some conjunction is satisfied by the train's feature values."""
-    row = predicate_vector(train).tobytes()  # one byte, 0 or 1, per slot
+    bits = predicate_bits(train)
     for conj in theory.dnf:
-        if all(row[table[feat].slot] == bool(val) for feat, val in conj):
+        if all((bits >> table[feat].slot & 1) == val for feat, val in conj):
             return EAST
     return WEST
 
@@ -289,15 +289,23 @@ def theory_to_dict(theory: Theory, table: Sequence[FeatureSpec]) -> dict:
 
 
 def theory_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Theory:
+    """Raises ValueError for a literal value other than the int 0 or 1, or a
+    `program` or `complexity` of the wrong type; KeyError for an unknown
+    feature name."""
     by_name = {s.name: s.index for s in table}
 
     def literal(name: str, value) -> Literal:
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):
             raise ValueError(f"literal {name!r} has value {value!r}, not 0 or 1")
-        return by_name[name], int(value)
+        return by_name[name], value
 
     dnf = tuple(tuple(literal(name, v) for name, v in conj) for conj in data["dnf"])
-    return Theory(dnf=dnf, rendered=data.get("program", ""), complexity=data.get("complexity", 0))
+    program, score = data.get("program", ""), data.get("complexity", 0)
+    if type(program) is not str:
+        raise ValueError(f"program must be a string, got {type(program).__name__}")
+    if type(score) is not int:
+        raise ValueError(f"complexity must be an integer, got {type(score).__name__}")
+    return Theory(dnf=dnf, rendered=program, complexity=score)
 
 
 def theory_to_json(theory: Theory, table: Sequence[FeatureSpec]) -> str:
@@ -305,4 +313,8 @@ def theory_to_json(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
 
 def theory_from_json(text: str, table: Sequence[FeatureSpec]) -> Theory:
-    return theory_from_dict(json.loads(text), table)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON is nested too deeply") from None
+    return theory_from_dict(data, table)

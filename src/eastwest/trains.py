@@ -240,6 +240,29 @@ def _car_from_term(term) -> Car:
     return Car(*fields, *load[1])
 
 
+# token kinds of a car term whose fields are plain atoms and integers
+_CAR_KINDS = (
+    "atom", "(", "int", ",", "atom", ",", "atom", ",", "atom", ",", "atom", ",", "int", ",",  # c(P, S, L, W, R, A,
+    "atom", "(", "atom", ",", "int", ")", ")",  # l(S, N))
+)
+
+
+def _car_fields(tokens, i):
+    """The Car fields of a c/7 term of that shape at token i, read by index;
+    None for anything else, which the general term reader then reports."""
+    toks = tokens[i:i + len(_CAR_KINDS)]
+    if len(toks) < len(_CAR_KINDS):
+        return None
+    kinds, texts = zip(*toks)
+    if kinds != _CAR_KINDS or texts[0] != "c" or texts[14] != "l":
+        return None
+    try:
+        return (int(texts[2]), texts[4], texts[6], texts[8], texts[10], int(texts[12]),
+                texts[16], int(texts[18]))
+    except ValueError:  # an integer beyond the int-conversion limit
+        return None
+
+
 def parse_trains(source: str) -> list[Train]:
     """Parse eastbound/westbound facts into Train values, in file order.
 
@@ -269,9 +292,13 @@ def _parse_facts(parser: _Parser) -> list[Train]:
             cars = []
             while True:
                 term_start = parser.i
-                term = parser.parse_term()
+                fields = _car_fields(parser.tokens, term_start)
+                if fields is None:
+                    term = parser.parse_term()
+                else:
+                    parser.i += len(_CAR_KINDS)
                 try:
-                    cars.append(_car_from_term(term))
+                    cars.append(_car_from_term(term) if fields is None else Car(*fields))
                 except TrainFormatError as exc:
                     raise parser.error(str(exc), term_start) from None
                 if parser.peek()[0] != ",":

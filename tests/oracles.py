@@ -332,3 +332,34 @@ def reference_simplify(theory, matrix):
                     else:
                         i += 1
     return Theory(dnf=tuple(tuple(c) for c in dnf))
+
+
+# --- the numpy predicate vector ---------------------------------------------
+
+def reference_predicate_vector(train):
+    """Every car-predicate combination and train predicate of one train, as
+    a bool array laid out [28 unary | 28x28 same-car | 28x28 infront | 9
+    train]; a feature's value is the entry at its `slot`.
+
+    The package's former numpy evaluation, kept as the differential oracle
+    of `features.predicate_bits`; unlike the rest of this file it reads the
+    package's predicate rows, which `brute_force_value` re-states.
+    """
+    import numpy as np
+
+    from eastwest.features import _CARRIED, CAR_PREDICATES, TRAIN_LENGTHS
+
+    P = np.array(
+        [[getattr(c, p.attribute) in p.values for p in CAR_PREDICATES] for c in train.cars],
+        dtype=bool,
+    )
+    some_car = P.any(axis=0)
+    return np.concatenate(
+        [
+            some_car,
+            (P.T @ P).ravel(),  # some car satisfies both
+            (P[:-1].T @ P[1:]).ravel(),  # adjacent cars; all False for one car
+            [len(train.cars) == n for n in TRAIN_LENGTHS],
+            some_car[_CARRIED],
+        ]
+    )

@@ -222,7 +222,11 @@ def _write(path, content):
 
 COMPOUND_FIELD = "eastbound([c(1,rectangle,f(a),not_double,none,2,l(circle,1))]).\n"
 # the error line quotes a term as the input spells it, not as a Python value
-ERROR_TEXT = {"compound-car-field": "car length must be one of ('long', 'short'), got f(a)\n"}
+ERROR_TEXT = {
+    "compound-car-field": "car length must be one of ('long', 'short'), got f(a)\n",
+    "theory-complexity-not-an-int": "cannot load theory: complexity must be an integer, got str\n",
+    "deep-theory-json": "cannot load theory: the JSON is nested too deeply\n",
+}
 
 NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
 
@@ -254,6 +258,13 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
             _write(d / "b.json", '{"dnf": [[["train_2", 1]]]}'),
             "--data", TRAINS20,
         ],
+        lambda d: [
+            "agree",
+            _write(d / "a.json", '{"dnf": [[["train_2", 1]]], "complexity": "x"}'),
+            _write(d / "b.json", '{"dnf": [[["train_2", 1]]]}'),
+            "--data", TRAINS20,
+        ],
+        lambda d: ["agree", _write(d / "a.json", "[" * 100_000), _write(d / "b.json", "{}"), "--data", TRAINS20],
         lambda d: ["gen-trains", "--out", str(d / "missing" / "random.pl")],
         lambda d: ["induce", "--data", TRAINS20, "--emit-dir", _write(d / "file", "")] + FAST,
         lambda d: ["induce", "--data", _write(d / "compound.pl", COMPOUND_FIELD)],
@@ -278,6 +289,8 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "deep-term-nesting",
         "deep-program-nesting",
         "theory-literal-not-0-or-1",
+        "theory-complexity-not-an-int",
+        "deep-theory-json",
         "gen-trains-out-in-missing-dir",
         "emit-dir-is-a-file",
         "compound-car-field",

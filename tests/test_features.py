@@ -10,9 +10,10 @@ from eastwest.features import (
     evaluate_features,
     feature_index,
 )
-from eastwest.trains import random_trains
+from eastwest.trains import CAR_FIELDS, LABELS, Car, Train, random_trains
 
-from oracles import brute_force_value
+from oracles import brute_force_value, reference_predicate_vector
+from test_theory import SUBSET_TABLES
 
 
 def test_feature_space_cardinality(full_table):
@@ -113,6 +114,26 @@ def test_matrix_matches_brute_force_oracle(full_table):
     for i, train in enumerate(trains):
         for spec in full_table:
             assert matrix.values[i, spec.index] == brute_force_value(spec, train), spec.name
+
+
+# 1-6 cars with every field drawn from its domain: outside random_trains'
+# 2-4 cars, so every train_<n> feature is also seen false
+car_fields = st.tuples(*(st.sampled_from(domain) for _, domain in CAR_FIELDS))
+any_train = st.builds(
+    lambda label, rows: Train("t1", label, tuple(Car(i, *f) for i, f in enumerate(rows, 1))),
+    st.sampled_from(LABELS),
+    st.lists(car_fields, min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_train)
+def test_predicate_bits_match_the_numpy_vector_and_brute_force(full_table, train):
+    vector = reference_predicate_vector(train)
+    for table in (full_table, *SUBSET_TABLES):
+        row = evaluate_features([train], table).values[0]
+        assert list(row) == [vector[spec.slot] for spec in table]
+        assert list(row) == [brute_force_value(spec, train) for spec in table]
 
 
 def test_labels_and_ids(trains20, matrix20):

@@ -16,6 +16,7 @@ from eastwest.theory import (
     finalize,
     render_program,
     simplify_dnf,
+    theory_from_dict,
     theory_from_json,
     theory_to_json,
     tree_to_dnf,
@@ -336,6 +337,22 @@ def test_theory_json_round_trip(reference_tree, matrix20, full_table):
     assert back.dnf == simplified.dnf
     assert back.rendered == simplified.rendered
     assert back.complexity == simplified.complexity
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dnf": [[["train_2", True]]]},
+        {"dnf": [[["train_2", 1.0]]]},
+        {"dnf": [[["train_2", 1]]], "complexity": "x"},
+        {"dnf": [[["train_2", 1]]], "complexity": False},
+        {"dnf": [[["train_2", 1]]], "program": 3},
+    ],
+    ids=["bool-literal", "float-literal", "str-complexity", "bool-complexity", "int-program"],
+)
+def test_theory_from_dict_rejects_wrong_types(full_table, data):
+    with pytest.raises(ValueError):
+        theory_from_dict(data, full_table)
 
 
 def leaf_counts(tree):

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eastwest import trains as trains_mod
 from eastwest.trains import (
     CAR_FIELDS,
     Car,
@@ -146,10 +148,15 @@ CARS_1_3 = (
         ("% header\r\n\r\n  eastbound([c(1, ?\r\n", 19, "unexpected character '?'"),
         ("% header\r\n\r\nwestbound([" + CARS_1_3 + "]).\r\n", 1,
          "west1: car positions must be exactly 1..2 in order, got [1, 3]"),
+        ("% header\n\n    eastbound([c(1,blob,short,not_double,none,2,l(circle,1))]).\n", 16,
+         "car shape must be one of ('rectangle', 'hexagon', 'ellipse', 'u_shaped', 'bucket'), got 'blob'"),
+        ("% header\n\nwestbound([c(1,rectangle,short,not_double,none," + "7" * 5000 + ",l(circle,1))]).\n",
+         48, "integer of 5000 digits is too long"),
     ],
     ids=[
         "unexpected-character", "car-arity", "over-long-integer", "after-comment-line",
-        "end-after-trailing-comment", "crlf-character", "crlf-train",
+        "end-after-trailing-comment", "crlf-character", "crlf-train", "car-field-value",
+        "over-long-integer-in-car-term",
     ],
 )
 def test_errors_carry_line_and_column(source, column, message):
@@ -212,6 +219,40 @@ def tokenize_or_error(tokenize, text):
 @given(st.one_of(st.text(), st.lists(st.sampled_from(TOKEN_PIECES), max_size=60).map("".join)))
 def test_tokenize_matches_named_group_reference(text):
     assert tokenize_or_error(_tokenize, text) == tokenize_or_error(reference_tokenize, text)
+
+
+def parse_or_error(text):
+    try:
+        return parse_trains(text)
+    except TrainFormatError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# a car term's ten parts are its functor, its position, its CAR_FIELDS values and
+# its load functor; at most one part is replaced by text of the wrong kind, out
+# of its domain, compound, a variable or an over-long integer
+PART_FAULTS = ("d", "blob", "7", "f(a)", "X", "7" * 5000)
+faulty_cars = st.tuples(
+    st.tuples(*(st.sampled_from([str(v) for v in domain]) for _, domain in CAR_FIELDS)),
+    st.integers(-3, 9),  # the part replaced; none when negative
+    st.sampled_from(PART_FAULTS),
+)
+
+
+def car_text(position, fields, fault, text):
+    parts = ["c", str(position), *fields, "l"]
+    if fault >= 0:
+        parts[fault] = text
+    return "{0}({1}, {2}, {3}, {4}, {5}, {6}, {9}({7}, {8}))".format(*parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["eastbound", "westbound"]), st.lists(faulty_cars, min_size=1, max_size=3))
+def test_car_term_fast_reader_matches_the_term_reader(functor, cars):
+    text = f"{functor}([{', '.join(car_text(i, *car) for i, car in enumerate(cars, 1))}]).\n"
+    with mock.patch.object(trains_mod, "_car_fields", lambda tokens, i: None):
+        general = parse_or_error(text)
+    assert parse_or_error(text) == general
 
 
 def test_parse_peak_memory_of_2000_trains():
