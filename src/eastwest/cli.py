@@ -79,7 +79,10 @@ def _run_one(data_file: str, args) -> dict:
     table = _load_table(args.features)
     matrix = features.evaluate_features(trains, table)
     costs = np.array([s.cost for s in table])
-    result = ga.evolve(matrix, costs, config)
+    try:
+        result = ga.evolve(matrix, costs, config)
+    except MemoryError:  # numpy's _ArrayMemoryError, e.g. for a huge --pop-size
+        raise CliError(f"out of memory for a population of {config.population_size}") from None
 
     raw = theory_mod.tree_to_dnf(result.best_tree)
     simplified = theory_mod.finalize(theory_mod.simplify_dnf(raw, matrix), table)

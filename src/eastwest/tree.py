@@ -117,21 +117,15 @@ def _majority(pos: int, n: int) -> str:
     return EAST if pos >= n - pos else WEST
 
 
-def _row_bitsets(matrix: FeatureMatrix) -> tuple[int, list[int], int]:
-    """(east rows, each feature's true rows, all rows) as int bitsets; bit i is row i."""
-    packed = np.packbits(matrix.values, axis=0, bitorder="little").T  # one row per feature
-    cols = [int.from_bytes(column.tobytes(), "little") for column in packed]
-    east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
-    return east, cols, (1 << matrix.n_trains) - 1
-
-
 class InductionMemo:
     """Work that the trees induced over one matrix in one evolve run share.
 
     An example subset is an int bitset, bit i standing for matrix row i.
     Each entry depends on its key alone, never on the genome being induced:
-    - `east`, `cols`, `everyone`: the `_row_bitsets` of the matrix;
-    - `entropy`: the `_entropy_table` of the matrix's size;
+    - `east`, `cols`, `everyone`: the east rows, each feature's true rows and
+      all rows of the matrix;
+    - `entropy`: the `_entropy_table` of the matrix's size, built at the first
+      impure subset `candidates` meets, so pruning alone never builds it;
     - `splits`: for each example subset, the features whose gain exceeds
       `_GAIN_EPS` there, as small unsigned indices, and their gains;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
@@ -141,8 +135,11 @@ class InductionMemo:
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
-        self.east, self.cols, self.everyone = _row_bitsets(matrix)
-        self.entropy = _entropy_table(matrix.n_trains)
+        packed = np.packbits(matrix.values, axis=0, bitorder="little").T  # one row per feature
+        self.cols = [int.from_bytes(column.tobytes(), "little") for column in packed]
+        self.east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
+        self.everyone = (1 << matrix.n_trains) - 1
+        self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
         self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.bounds: dict[tuple[int, int, float], float] = {}
         self.fitness: dict = {}
@@ -154,6 +151,8 @@ class InductionMemo:
         if found is None:
             gains = np.zeros(self.matrix.n_features)
             if 0 < (s & self.east).bit_count() < s.bit_count():  # a pure subset has no gain
+                if self.entropy is None:
+                    self.entropy = _entropy_table(self.matrix.n_trains)
                 # ascending row indices, so the sums run in the same order as over an index array
                 width = (self.matrix.n_trains + 7) // 8
                 packed = np.frombuffer(s.to_bytes(width, "little"), dtype=np.uint8)
@@ -163,6 +162,23 @@ class InductionMemo:
             cand = np.flatnonzero(gains > _GAIN_EPS)
             found = self.splits[s] = (cand.astype(self._index), gains[cand])
         return found
+
+    def bound(self, errors: int, n: int, cf: float) -> float:
+        """`pessimistic_upper_bound(errors, n, cf)`, computed once per key."""
+        key = (errors, n, cf)
+        found = self.bounds.get(key)
+        if found is None:
+            found = self.bounds[key] = pessimistic_upper_bound(errors, n, cf)
+        return found
+
+
+def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMemo:
+    """`memo`, checked to belong to `matrix`; a fresh memo when it is None."""
+    if memo is None:
+        return InductionMemo(matrix)
+    if memo.matrix is not matrix:
+        raise ValueError("memo belongs to another feature matrix")
+    return memo
 
 
 def _grow(s, weights, omega, memo):
@@ -189,10 +205,7 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
         raise ValueError(
             f"bias has {bias.weights.size} weights for {matrix.n_features} features"
         )
-    if memo is None:
-        memo = InductionMemo(matrix)
-    elif memo.matrix is not matrix:
-        raise ValueError("memo belongs to another feature matrix")
+    memo = _memo_for(matrix, memo)
     tree = _grow(memo.everyone, bias.weights, bias.omega, memo)
     return prune(tree, bias.cf, matrix, memo)
 
@@ -215,29 +228,21 @@ def pessimistic_upper_bound(errors: int, n: int, cf: float) -> float:
     return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))
 
 
-def _bound(errors: int, n: int, cf: float, bounds: dict) -> float:
-    key = (errors, n, cf)
-    found = bounds.get(key)
-    if found is None:
-        found = bounds[key] = pessimistic_upper_bound(errors, n, cf)
-    return found
-
-
-def _prune(node, cf, s, east, cols, bounds):
+def _prune(node, cf, s, memo):
     """Returns (pruned subtree, pessimistic error estimate over the example subset s);
     a subtree whose counts and children come out unchanged is returned as is."""
     n = s.bit_count()
-    pos = (s & east).bit_count()
+    pos = (s & memo.east).bit_count()
     if isinstance(node, Leaf):
         errors = n - pos if node.label == EAST else pos
-        est = n * _bound(errors, n, cf, bounds)
+        est = n * memo.bound(errors, n, cf)
         return (node if node.n_examples == n else Leaf(node.label, n)), est
-    t = s & cols[node.feature]
-    on_true, est_t = _prune(node.on_true, cf, t, east, cols, bounds)
-    on_false, est_f = _prune(node.on_false, cf, s ^ t, east, cols, bounds)
+    t = s & memo.cols[node.feature]
+    on_true, est_t = _prune(node.on_true, cf, t, memo)
+    on_false, est_f = _prune(node.on_false, cf, s ^ t, memo)
     subtree_est = est_t + est_f
     # the majority label errs on the minority
-    leaf_est = n * _bound(min(pos, n - pos), n, cf, bounds)
+    leaf_est = n * memo.bound(min(pos, n - pos), n, cf)
     if leaf_est < subtree_est:
         return Leaf(_majority(pos, n), n), leaf_est
     if on_true is node.on_true and on_false is node.on_false:
@@ -249,15 +254,8 @@ def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | No
     """Pessimistic leaf-replacement pruning at confidence level cf (percent)."""
     if not CF_MIN <= cf <= CF_MAX:
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
-    if memo is None:
-        # the row bitsets alone: the entropy table is (N + 1)**2 floats
-        (east, cols, everyone), bounds = _row_bitsets(matrix), {}
-    elif memo.matrix is not matrix:
-        raise ValueError("memo belongs to another feature matrix")
-    else:
-        east, cols, everyone, bounds = memo.east, memo.cols, memo.everyone, memo.bounds
-    pruned, _ = _prune(tree, cf, everyone, east, cols, bounds)
-    return pruned
+    memo = _memo_for(matrix, memo)
+    return _prune(tree, cf, memo.everyone, memo)[0]
 
 
 def _predict(node, values, idx, out):
@@ -276,18 +274,6 @@ def predict_all(tree: Tree, matrix: FeatureMatrix) -> np.ndarray:
     return predictions
 
 
-def internal_nodes(tree: Tree) -> list[Node]:
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Node):
-            out.append(node)
-            stack.append(node.on_false)
-            stack.append(node.on_true)
-    return out
-
-
 def node_count(tree: Tree) -> int:
     """Total number of nodes, internal plus leaves."""
     if isinstance(node := tree, Leaf):
@@ -295,9 +281,17 @@ def node_count(tree: Tree) -> int:
     return 1 + node_count(node.on_true) + node_count(node.on_false)
 
 
+def _cost_sum(node, costs, total=0):
+    # adds in pre-order from 0, as sum() over the internal nodes would
+    if isinstance(node, Leaf):
+        return total
+    total = _cost_sum(node.on_true, costs, total + costs[node.feature])
+    return _cost_sum(node.on_false, costs, total)
+
+
 def test_cost(tree: Tree, costs: np.ndarray) -> int:
     """Sum of feature costs over all internal nodes, one per node."""
-    return int(sum(costs[n.feature] for n in internal_nodes(tree)))
+    return int(_cost_sum(tree, costs))
 
 
 def fitness(

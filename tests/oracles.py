@@ -212,8 +212,8 @@ def reference_induce(matrix, bias):
     package did before it read entropies from a table of integer counts.
     This path is kept on purpose, so the oracle stays independent of the
     table, the candidate lists and every memo. The table reproduces these
-    floats bit for bit (`test_tree` checks it against `float_gains`, the
-    same arithmetic), so argmax ties break the same way in both.
+    floats bit for bit (`test_tree` checks it against `float_gains`, which
+    this oracle calls), so argmax ties break the same way in both.
     """
     import numpy as np
     from scipy.stats import beta
@@ -221,24 +221,6 @@ def reference_induce(matrix, bias):
     from eastwest.tree import Leaf, Node
 
     values, labels = matrix.values, matrix.labels
-
-    def entropy(pos, n):
-        pos = np.asarray(pos, dtype=float)
-        n = np.asarray(n, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
-            h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-                  + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
-        return np.where(n > 0, h, 0.0)
-
-    def gains(x, y):
-        m = x.shape[0]
-        pos = y.sum()
-        n1 = x.sum(axis=0)
-        pos1 = x[y].sum(axis=0) if pos else np.zeros(x.shape[1])
-        n0 = m - n1
-        child = (n1 / m) * entropy(pos1, n1) + (n0 / m) * entropy(pos - pos1, n0)
-        return np.maximum(entropy(pos, m) - child, 0.0)
 
     def majority(y):
         pos = int(y.sum())
@@ -249,7 +231,7 @@ def reference_induce(matrix, bias):
         pos = int(y.sum())
         if pos == 0 or pos == idx.size:
             return Leaf("east" if pos else "west", idx.size)
-        g = gains(values[idx], y)
+        g = float_gains(values[idx], y)
         scores = (2.0 ** g - 1.0) / (bias.weights + 1.0) ** bias.omega
         scores = np.where(g <= 1e-12, -np.inf, scores)
         best = int(np.argmax(scores))

@@ -19,6 +19,9 @@ TRAINS20 = str(data_path("trains20.pl"))
 
 FAST = ["--features", "unary-train", "--pop-size", "10", "--generations", "4"]
 
+# what `induce --emit-dir` writes
+ARTIFACTS = ("report.json", "report.txt", "tree.json", "history.csv", "theory.json", "program.pl")
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -113,7 +116,7 @@ def test_induce_emits_artifact_files(capsys, tmp_path):
         ["induce", "--data", TRAINS20, "--emit-dir", str(outdir)] + FAST,
     )
     assert code == 0
-    for name in ("report.json", "report.txt", "tree.json", "history.csv", "program.pl", "theory.json"):
+    for name in ARTIFACTS:
         assert (outdir / name).exists(), name
     report = json.loads((outdir / "report.json").read_text())
     assert report["best"]["error_count"] == 0
@@ -125,7 +128,7 @@ def test_induce_reruns_are_byte_identical(capsys, tmp_path):
     args = ["induce", "--data", TRAINS20, "--seed", "5"] + FAST
     run(capsys, args + ["--emit-dir", str(tmp_path / "a")])
     run(capsys, args + ["--emit-dir", str(tmp_path / "b")])
-    for name in ("report.json", "report.txt", "tree.json", "history.csv", "program.pl", "theory.json"):
+    for name in ARTIFACTS:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -305,6 +308,17 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, request, case):
     assert err.endswith(ERROR_TEXT.get(request.node.callspec.id, "")), err
 
 
+def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):
+    # stands in for `--pop-size 1000000000`, whose population numpy cannot allocate
+    def evolve(matrix, costs, config):
+        raise MemoryError
+
+    monkeypatch.setattr("eastwest.ga.evolve", evolve)
+    code, out, err = run(capsys, ["induce", "--data", TRAINS20, "--pop-size", "1000000000"])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory for a population of 1000000000\n"
+
+
 def _cli_import_loads(module):
     """Whether a fresh interpreter loads `module` when it imports eastwest.cli."""
     src = str(Path(eastwest.__file__).resolve().parents[1])
@@ -325,3 +339,100 @@ def test_cli_import_does_not_load_scipy_special():
     # only pruning needs scipy (the bound's beta quantile), so the commands
     # that never prune (features, score, agree, gen-trains) never load it
     assert not _cli_import_loads("scipy.special")
+
+
+# sha256 of the six artifacts of `eastwest induce --data trains20.pl --seed k --emit-dir out`
+# at the default GA settings, run from the directory holding trains20.pl so the
+# reports name a relative path; a changed search or rendering shows here
+INDUCE_DIGESTS = {
+    0: {
+        "report.json": "d37b45b1e7c863231c1dc963cf987e8329c87fd7318e9eb6f4168c042ddde321",
+        "report.txt": "a86edf2cecb3ec961fc2bea45c01ad827d15e044dd8dc07f51083ef2f0f2a49a",
+        "tree.json": "1cdbed807191a84c2bc81dff4c98a72f39ce0334efb60d9a04bfdd93d954f741",
+        "history.csv": "2b8f0e4eed33fe39e9a2e8032c8771487911b877c98d1e1ce9e6283a9666ca60",
+        "theory.json": "558444e0988c0b34a297482060851fc307277c4167b53608e7195219e8dc6949",
+        "program.pl": "6853b9ff2a09af4410481f94dbe542045e561031808d9f4436b28a393c295fa7",
+    },
+    1: {
+        "report.json": "b6789b9616820da2a4eb36194dbddb3637c594ab0f9a297a63a63443fa765f26",
+        "report.txt": "2a8203e35bb22f603c5ed946c88ace40ddebfcf6637d31dff2bc2e2f28f12241",
+        "tree.json": "c4bbfd66966781dba6ba04bb7489162039b4984b36199092a7aad1fe2f34c316",
+        "history.csv": "1d46e3ff0eb8144a72c99e670c7e401a6527b7ee3f3a3c94ab33c548738669dd",
+        "theory.json": "0f0d56ab3767f794ef0a11781c6e6d61a3af7ec1af3c302d7821305568c877f9",
+        "program.pl": "1b5e42e152f95bf9c5a33856136ee4878963f85382da50503decb0a25c7dfb25",
+    },
+    2: {
+        "report.json": "4a609e67571e3db85e2613b40d77ec50e5a98f4319916894a2607da1682da8da",
+        "report.txt": "9933d7122a5887317170ffd5dd91f8869d3905d466cc044a34297292ce50a6d0",
+        "tree.json": "c4bbfd66966781dba6ba04bb7489162039b4984b36199092a7aad1fe2f34c316",
+        "history.csv": "77f91e352d2f4d146173d9f1bab79e9410ac8cbf5a4283caa109c020a80a89ef",
+        "theory.json": "0f0d56ab3767f794ef0a11781c6e6d61a3af7ec1af3c302d7821305568c877f9",
+        "program.pl": "1b5e42e152f95bf9c5a33856136ee4878963f85382da50503decb0a25c7dfb25",
+    },
+    3: {
+        "report.json": "0e74a73e5ab2b5d2d9bf2360ded5175db5f771365ff923f1a0d82e6e58ec2c41",
+        "report.txt": "70270c2a9af244e20170165d3adca6531c2ed6efc2e20e3c5fbe5c32b112126c",
+        "tree.json": "c4bbfd66966781dba6ba04bb7489162039b4984b36199092a7aad1fe2f34c316",
+        "history.csv": "62e926f40de0442d77b7778b77468a96a85412ae9a4104aa973d9e3aca12f135",
+        "theory.json": "0f0d56ab3767f794ef0a11781c6e6d61a3af7ec1af3c302d7821305568c877f9",
+        "program.pl": "1b5e42e152f95bf9c5a33856136ee4878963f85382da50503decb0a25c7dfb25",
+    },
+    4: {
+        "report.json": "9e723e66d10ac0f45c9690e36796d628772964996fbb78186b6013bf7e08c537",
+        "report.txt": "1021a88d47fb625cf8349c4a92dfa5e7c21ea4879934df0201048fd9615cf434",
+        "tree.json": "988fcf01e9e4ecfa19be4eac379a5ec80cbc74fc1dba65d35879df5a9a1c596f",
+        "history.csv": "694e1540acd1ae43c845a3a775630cb0554f69a83cfd3ffc9691c85cbc407ad5",
+        "theory.json": "fad748b8e627f9e99c0a2fd5a1e230e64fcb2260b7c2dfcf39440d63a8310fd8",
+        "program.pl": "b4b554477af04535b6b51d7b79be7041bcf8f41c54ae8fcad91e663511ac7f76",
+    },
+    5: {
+        "report.json": "86e94d1141c51e8b027d1a08e4e076a334ea9fe75faee2b0e96bfd8481d510a7",
+        "report.txt": "582381c93c936805d0c9763bd499a46b696bdc4e7ad5c32682de6d80a5bbe340",
+        "tree.json": "03bcbbfe9dfb08b84d3bf389558b22635b1df41135bb24c6612bb3c49a21035a",
+        "history.csv": "44380bb88fb25ff43ac79f20592a0cc82a32dd18c192fd44ad7d65106a81573e",
+        "theory.json": "c326708040e164d996c1bad2d704015c7b61584002e9dcb2601d4e86d307f8e5",
+        "program.pl": "31bc5cb7352f3ddc114b8152bd840586770dc02776fc116a8bfa1a97b692d9a1",
+    },
+    6: {
+        "report.json": "2db732a58d7bcfded25889c21aec3cd31377ce5baf9cf015942fe21ba25379e6",
+        "report.txt": "cc85577cdfb911829dcb068d2dcdccca8e21e5fac3c79ef85c87dd32210d67c1",
+        "tree.json": "03bcbbfe9dfb08b84d3bf389558b22635b1df41135bb24c6612bb3c49a21035a",
+        "history.csv": "3de2f48660083d9b2608f3bf83eecf39721c49e97098cf7eb0035398d2970439",
+        "theory.json": "c326708040e164d996c1bad2d704015c7b61584002e9dcb2601d4e86d307f8e5",
+        "program.pl": "31bc5cb7352f3ddc114b8152bd840586770dc02776fc116a8bfa1a97b692d9a1",
+    },
+    7: {
+        "report.json": "24001e702b24d48188dfe130351dc0127ead41393869647b675686fe41648397",
+        "report.txt": "3726746c3576c57f1d0541c1ea63edf471b531b66d598dfb7a0a48fd159fc8b2",
+        "tree.json": "c4bbfd66966781dba6ba04bb7489162039b4984b36199092a7aad1fe2f34c316",
+        "history.csv": "5fc337abd8c1b2c4cb9b1dfe8da3dbd5e7deb97262fe92ae81fce5269da4f57c",
+        "theory.json": "0f0d56ab3767f794ef0a11781c6e6d61a3af7ec1af3c302d7821305568c877f9",
+        "program.pl": "1b5e42e152f95bf9c5a33856136ee4878963f85382da50503decb0a25c7dfb25",
+    },
+    8: {
+        "report.json": "df73750e26d68969ccdb4ab7c72ce4141ab92b354d48991efda553e264a699f4",
+        "report.txt": "10c4e859c596d8d0407a522c5cacea62e8bcaa1bd1358e1cb6315b063036b131",
+        "tree.json": "c4bbfd66966781dba6ba04bb7489162039b4984b36199092a7aad1fe2f34c316",
+        "history.csv": "77c086d37a034ad4ce0301698ffc974a25b2aa6bcdf49c5bbf2d1fda15e600e6",
+        "theory.json": "0f0d56ab3767f794ef0a11781c6e6d61a3af7ec1af3c302d7821305568c877f9",
+        "program.pl": "1b5e42e152f95bf9c5a33856136ee4878963f85382da50503decb0a25c7dfb25",
+    },
+    9: {
+        "report.json": "b8505896d571ca801e2cdea1d8bb0e108e80274a9ed1eed4b9d8484b0935b117",
+        "report.txt": "b716df8101b53d3a35863c2cd55f06ab753dcc743b09086de3db25db243336fe",
+        "tree.json": "ea4c83fccb07b2b835668e731c5885f1397fcb9d29d2f290d347771825cb75c6",
+        "history.csv": "492893e3d6f5f44775b1c1866db7f6c6921c47d3cb4750d1d5533e8ab7bb980b",
+        "theory.json": "1275232a32e9298c0139f6c0d3466fa9c4f1a30b3e8cbef95b96bcc1b712c179",
+        "program.pl": "139cd0ae8d29fe3bd74605f64d469a78ee142e72a539fbe62ce6d0b9aeffabc9",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_induce_artifacts_are_pinned(capsys, tmp_path, monkeypatch, seed):
+    (tmp_path / "trains20.pl").write_bytes(Path(TRAINS20).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, ["induce", "--data", "trains20.pl", "--seed", str(seed), "--emit-dir", "out"])
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert digests == INDUCE_DIGESTS[seed]

@@ -22,7 +22,6 @@ from eastwest.tree import (
     _gains,
     fitness,
     induce_tree,
-    internal_nodes,
     node_count,
     pessimistic_upper_bound,
     predict_all,
@@ -440,6 +439,17 @@ def test_prune_of_random_trees_matches_reference(matrix_and_tree, cf):
     assert prune(tree, cf, m, InductionMemo(m)) == want
 
 
+def test_entropy_table_waits_for_the_first_impure_split():
+    pure = make_matrix([[1], [0], [1]], [1, 1, 1])
+    memo = InductionMemo(pure)
+    induce_tree(pure, grow_only_bias(1), memo)
+    assert memo.entropy is None
+    mixed = make_matrix([[1], [0], [1]], [1, 0, 1])
+    memo = InductionMemo(mixed)
+    induce_tree(mixed, grow_only_bias(1), memo)
+    assert memo.entropy.tobytes() == _entropy_table(3).tobytes()
+
+
 def test_standalone_prune_builds_no_entropy_table():
     # an (N + 1)**2 entropy table of 2000 rows would take 32 MB
     rng = np.random.default_rng(0)
@@ -514,10 +524,14 @@ def test_fitness_formula_with_one_error_in_twenty():
 
 def test_zero_error_fitness_equals_node_cost_sum(matrix20, costs20, reference_tree):
     report = fitness(reference_tree, matrix20, costs20)
+    features, stack = [], [reference_tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            features.append(node.feature)
+            stack += [node.on_true, node.on_false]
     assert report.error_count == 0
-    assert report.fitness == pytest.approx(
-        sum(costs20[n.feature] for n in internal_nodes(reference_tree))
-    )
+    assert report.fitness == pytest.approx(sum(costs20[f] for f in features))
 
 
 def test_error_cost_parameter_scales_errors():
