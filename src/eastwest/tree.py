@@ -90,20 +90,18 @@ def _entropy_table(n_max: int) -> np.ndarray:
     return table
 
 
-def _gains(values: np.ndarray, labels: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Information gain of each feature column over the given examples.
+def _gains(m: int, pos: int, n1: np.ndarray, pos1: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Information gain of each feature over a subset of m examples, pos of them east.
 
-    The counts are integers and the entropies are read from `h` (an
-    `_entropy_table` of at least this many examples), so every gain is the
+    `n1` and `pos1` count, per feature, the subset's examples and east examples
+    the feature holds for. The counts are integers and the entropies are read
+    from `h` (an `_entropy_table` of at least m examples), so every gain is the
     float `_entropy` would give term for term.
     """
-    m = values.shape[0]
-    pos = int(np.count_nonzero(labels))
-    count = np.min_scalar_type(m)  # exact, and the narrowest sum is the fastest
-    n1 = values.sum(axis=0, dtype=count)
-    pos1 = values[labels].sum(axis=0, dtype=count)
+    flat, width = h.ravel(), np.intp(h.shape[1])  # a flat take reads the floats h[n, pos] would
+    at1 = n1 * width + pos1  # h[n1, pos1]
     n0 = m - n1
-    child = (n1 / m) * h[n1, pos1] + (n0 / m) * h[n0, pos - pos1]
+    child = (n1 / m) * flat.take(at1) + (n0 / m) * flat.take((m * width + pos) - at1)  # h[n0, pos - pos1]
     return np.maximum(h[m, pos] - child, 0.0)
 
 
@@ -124,10 +122,15 @@ class InductionMemo:
     Each entry depends on its key alone, never on the genome being induced:
     - `east`, `cols`, `everyone`: the east rows, each feature's true rows and
       all rows of the matrix;
+    - `words`: the matrix's columns packed into 64-bit words, shape
+      `(ceil(N / 64), F)`: bit i of word k of feature f is row 64k + i, and the
+      bits past row N - 1 are 0. `candidates` counts a subset's rows in every
+      column at once with popcounts of these words;
     - `entropy`: the `_entropy_table` of the matrix's size, built at the first
       impure subset `candidates` meets, so pruning alone never builds it;
     - `splits`: for each example subset, the features whose gain exceeds
-      `_GAIN_EPS` there, as small unsigned indices, and their gains;
+      `_GAIN_EPS` there, as small unsigned indices, and their gains; every
+      pure subset shares one empty entry;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
     - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
       fills it, under the one cost vector and error cost of its run.
@@ -135,8 +138,12 @@ class InductionMemo:
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
-        packed = np.packbits(matrix.values, axis=0, bitorder="little").T  # one row per feature
+        n_words = -(-matrix.n_trains // 64)
+        # one row of little-endian bytes per feature, zero-padded to whole words
+        packed = np.zeros((matrix.n_features, 8 * n_words), dtype=np.uint8)
+        packed[:, : (matrix.n_trains + 7) // 8] = np.packbits(matrix.values, axis=0, bitorder="little").T
         self.cols = [int.from_bytes(column.tobytes(), "little") for column in packed]
+        self.words = np.ascontiguousarray(packed.view("<u8").T)
         self.east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
         self.everyone = (1 << matrix.n_trains) - 1
         self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
@@ -144,23 +151,29 @@ class InductionMemo:
         self.bounds: dict[tuple[int, int, float], float] = {}
         self.fitness: dict = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
+        self._count = np.min_scalar_type(matrix.n_trains)  # exact, and the narrowest sum is the fastest
+        self._no_split = (np.empty(0, dtype=self._index), np.empty(0))
 
     def candidates(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """(features with gain > _GAIN_EPS over the example subset s, their gains)."""
         found = self.splits.get(s)
         if found is None:
-            gains = np.zeros(self.matrix.n_features)
-            if 0 < (s & self.east).bit_count() < s.bit_count():  # a pure subset has no gain
+            m = s.bit_count()
+            s_east = s & self.east
+            pos = s_east.bit_count()
+            if 0 < pos < m:
                 if self.entropy is None:
                     self.entropy = _entropy_table(self.matrix.n_trains)
-                # ascending row indices, so the sums run in the same order as over an index array
-                width = (self.matrix.n_trains + 7) // 8
-                packed = np.frombuffer(s.to_bytes(width, "little"), dtype=np.uint8)
-                idx = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
-                gains = _gains(self.matrix.values[idx], self.matrix.labels[idx], self.entropy)
-            # a feature already tested on the path is constant here, so its gain is 0
-            cand = np.flatnonzero(gains > _GAIN_EPS)
-            found = self.splits[s] = (cand.astype(self._index), gains[cand])
+                width = 8 * self.words.shape[0]
+                rows = np.frombuffer(s.to_bytes(width, "little") + s_east.to_bytes(width, "little"), dtype="<u8")
+                n1, pos1 = np.bitwise_count(self.words & rows.reshape(2, -1, 1)).sum(axis=1, dtype=self._count)
+                gains = _gains(m, pos, n1, pos1, self.entropy)
+                # a feature already tested on the path is constant here, so its gain is 0
+                cand = np.flatnonzero(gains > _GAIN_EPS)
+                found = (cand.astype(self._index), gains[cand])
+            else:  # a pure subset has no gain
+                found = self._no_split
+            self.splits[s] = found
         return found
 
     def bound(self, errors: int, n: int, cf: float) -> float:

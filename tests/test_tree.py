@@ -37,6 +37,7 @@ from oracles import (
     binomial_upper_bound,
     float_gains,
     information_gain_oracle,
+    reference_induce,
     reference_predict,
     selection_score_oracle,
 )
@@ -59,11 +60,16 @@ def grow_only_bias(n, weights=None, omega=0.0):
 
 # --- information gain -------------------------------------------------------
 
+def bitset(rows):
+    return sum(1 << int(i) for i in rows)
+
+
 def information_gain(matrix, subset, feature):
-    """Gain of splitting the `subset` rows of `matrix` on one feature."""
-    idx = np.asarray(subset, dtype=int)
-    values = matrix.values[idx][:, [feature]]
-    return float(_gains(values, matrix.labels[idx], _entropy_table(idx.size))[0])
+    """Gain of splitting the `subset` rows of `matrix` on one feature, as the
+    memo scores it: 0 unless the feature is a candidate there."""
+    cand, gains = InductionMemo(matrix).candidates(bitset(subset))
+    hit = np.flatnonzero(cand == feature)
+    return float(gains[hit[0]]) if hit.size else 0.0
 
 
 def test_gain_perfect_split():
@@ -104,7 +110,8 @@ def test_gain_on_subset():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 30),
+    # one word, several words, and the sizes on either side of a word boundary
+    st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])),
     st.integers(1, 8),
     st.sampled_from(["mixed", "all east", "all west"]),
     st.integers(0, 10**6),
@@ -118,13 +125,18 @@ def test_table_gains_equal_float_gains_bit_for_bit(n, n_features, labelling, see
         "all east": np.ones(n, dtype=bool),
         "all west": np.zeros(n, dtype=bool),
     }[labelling]
-    table = _entropy_table(n)  # one table for the matrix, as a run builds it
+    memo = InductionMemo(make_matrix(values, labels))  # one table for the matrix, as a run builds it
     subset = np.sort(rng.permutation(n)[: rng.integers(1, n + 1)])
-    for rows in (np.arange(n), subset, subset[:1]):  # m = n, any m, m = 1
+    for rows in (np.arange(n), subset, subset[:1], subset[-2:]):  # m = n, any m, m = 1, the last rows
         x, y = values[rows], labels[rows]
-        want = float_gains(x, y).tobytes()
-        assert _gains(x, y, table).tobytes() == want
-        assert _gains(x, y, _entropy_table(rows.size)).tobytes() == want  # a table of exactly m
+        want = float_gains(x, y)
+        cand, gains = memo.candidates(bitset(rows))  # counted by word popcounts
+        assert np.array_equal(cand, np.flatnonzero(want > _GAIN_EPS))
+        assert gains.tobytes() == want[cand].tobytes()
+        assert np.all(np.delete(want, cand) <= _GAIN_EPS)
+        m, pos = rows.size, int(y.sum())
+        n1, pos1 = x.sum(axis=0), x[y].sum(axis=0)
+        assert _gains(m, pos, n1, pos1, _entropy_table(m)).tobytes() == want.tobytes()  # a table of exactly m
 
 
 def test_rounding_noise_gain_is_not_a_split():
@@ -132,8 +144,50 @@ def test_rounding_noise_gain_is_not_a_split():
     # sides keep the parent's east share, so the true gain is 0, but the
     # float arithmetic leaves a positive gain below _GAIN_EPS
     m = make_matrix(np.arange(15)[:, None] < 5, np.isin(np.arange(15), [0, 1, 5, 6, 7, 8]))
-    assert 0 < _gains(m.values, m.labels, _entropy_table(15))[0] <= _GAIN_EPS
+    n1, pos1 = m.values.sum(axis=0), m.values[m.labels].sum(axis=0)
+    assert 0 < _gains(15, 6, n1, pos1, _entropy_table(15))[0] <= _GAIN_EPS
+    assert InductionMemo(m).candidates(bitset(range(15)))[0].size == 0
     assert induce_tree(m, grow_only_bias(1)) == Leaf(WEST, 15)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_words_hold_each_column_row_by_row_with_zero_padding(n):
+    rng = np.random.default_rng(n)
+    values = rng.random((n, 3)) < 0.5
+    values[:, 2] = True  # every bit up to row n - 1 set, none past it
+    memo = InductionMemo(make_matrix(values, rng.random(n) < 0.5))
+    assert memo.words.dtype == np.uint64 and memo.words.shape == (-(-n // 64), 3)
+    for f in range(3):
+        want = sum(1 << i for i in range(n) if values[i, f])  # bit i is row i
+        assert sum(int(w) << (64 * k) for k, w in enumerate(memo.words[:, f])) == want
+        assert memo.cols[f] == want
+
+
+def test_pure_subsets_share_one_empty_entry():
+    m = make_matrix([[1, 0], [0, 1], [1, 1], [0, 0]], [1, 1, 0, 0])
+    memo = InductionMemo(m)
+    east_only, west_only = memo.candidates(0b0011), memo.candidates(0b1100)
+    assert east_only is west_only is memo.candidates(0b0001)
+    assert east_only[0].size == east_only[1].size == 0
+    assert memo.entropy is None  # no impure subset yet, so no gains were computed
+
+
+def test_a_memo_of_no_trains_has_no_words():
+    empty = FeatureMatrix((), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool))
+    assert InductionMemo(empty).words.shape == (0, 2)
+    assert prune(Leaf(EAST), 50.0, empty) == Leaf(EAST, 0)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_induce_matches_reference_across_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    values = rng.random((n, 12)) < rng.random(12)
+    labels = values[:, 0] ^ (values[:, 1] & values[:, 2]) ^ (rng.random(n) < 0.1)
+    m = make_matrix(values, labels)
+    memo = InductionMemo(m)
+    for cf in (5.0, 25.0, 100.0):
+        bias = BiasVector(rng.uniform(0, B_MAX, 12), float(rng.uniform(0, 1)), cf)
+        assert induce_tree(m, bias, memo) == reference_induce(m, bias)
 
 
 # --- selection criterion ----------------------------------------------------
