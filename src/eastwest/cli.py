@@ -207,7 +207,9 @@ def cmd_agree(args) -> int:
     texts = [_read_text(path) for path in (args.theory_a, args.theory_b)]
     try:
         a, b = (theory_mod.theory_from_json(text, table) for text in texts)
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
+    except KeyError as exc:
+        raise CliError(f"unknown feature {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:  # ValueError covers bad JSON
         raise CliError(f"cannot load theory: {exc}") from None
     trains = _load_dataset(args.data)
     value = theory_mod.agreement(a, b, trains, table)

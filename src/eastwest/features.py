@@ -4,24 +4,25 @@ Car-level predicates are lifted to whole-train features four ways: a unary
 feature per predicate (some car satisfies it), a feature per unordered pair
 of predicates (some single car satisfies both), a feature per ordered pair
 via the infront relation (adjacent cars satisfy p and q respectively), and
-a handful of train-level predicates.  Each feature carries the
-size-complexity cost of the Prolog fragment that expresses it.
+a handful of train-level predicates.  Each feature carries the Prolog
+fragment that expresses it, and its cost is that fragment's size.
 
 Predicates are data: a car predicate is one `(attribute, values)` row and
 holds for a car whose `attribute` is one of `values`.  A train predicate
-either counts the cars or repeats the unary `<shape>_load` value, at its
-own cost.
+either counts the cars or repeats the unary `<shape>_load` value.
 
-A feature's cost is the size of its fragment under the rule that also
-scores emitted programs (`trains.program_size`): one per atom, variable
-and integer, so a literal costs 1 + its arity and `not` adds 1.  The
-fragment includes the scaffold literal (`has_car/2` or `infront/3`) that
-binds the car variables.
+A fragment is a tuple of literal templates.  A car feature's first literal
+is the scaffold (`has_car/2` or `infront/3`) that binds its car variables,
+`{0}` and `{1}`; a train feature is one literal over `T`.  A fragment's
+size is counted by the rule that also scores emitted programs
+(`trains.program_size`): one per atom, variable and integer, so a literal
+costs 1 + its arity and `not` adds 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -41,18 +42,11 @@ def _literal_size(template: str) -> int:
 
 @dataclass(frozen=True)
 class Predicate:
-    """A train predicate, or the part common to every predicate: its cheapest
-    literal form and its size."""
+    """A train predicate, or the part common to every predicate: its name and
+    its cheapest literal form."""
 
     name: str
     template: str  # literal with {0} standing for the car or train variable
-    cost: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cost", _literal_size(self.template))
-
-    def literal(self, var: str) -> str:
-        return self.template.format(var)
 
 
 @dataclass(frozen=True)
@@ -102,8 +96,6 @@ TRAIN_PREDICATES: tuple[Predicate, ...] = tuple(
     + [Predicate(f"train_{s}", f"has_load1({{0}}, {s})") for s in LOAD_SHAPES]
 )
 
-PREDICATES = {p.name: p for p in CAR_PREDICATES + TRAIN_PREDICATES}
-
 
 # block offsets in predicate_bits()
 _N_CAR = len(CAR_PREDICATES)
@@ -136,11 +128,13 @@ _LENGTH_BITS = {n: 1 << _TRAIN + k for k, n in enumerate(TRAIN_LENGTHS)}
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A boolean feature over whole trains, with its fragment cost."""
+    """A boolean feature over whole trains: the Prolog fragment that
+    expresses it, and that fragment's size as its cost."""
 
     index: int
     kind: str  # "unary" | "pair" | "infront" | "train"
     name: str
+    fragment: tuple[str, ...]  # literal templates, the scaffold first (see the module docstring)
     cost: int
     components: tuple[str, ...]  # car predicate names, or the train predicate name
     slot: int  # bit of the feature's value in predicate_bits()
@@ -156,38 +150,32 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     `feature_set` may be "full", "unary_train" (unary + train features
     only), or an iterable of feature names selecting a custom subset;
     indices are always dense over the returned table.  Raises ValueError
-    for unknown names or an empty selection.
+    for any other string, unknown names or an empty selection.
     """
-    has_car, infront = _literal_size(HAS_CAR_TEMPLATE), _literal_size(INFRONT_TEMPLATE)
-    specs: list[tuple[str, str, int, tuple[str, ...], int]] = []
-    for i, p in enumerate(CAR_PREDICATES):
-        specs.append(("unary", p.name, has_car + p.cost, (p.name,), i))
-    for i in range(_N_CAR):
-        for j in range(i + 1, _N_CAR):
-            p, q = CAR_PREDICATES[i], CAR_PREDICATES[j]
-            specs.append(
-                (
-                    "pair",
-                    f"{p.name}_{q.name}",
-                    has_car + p.cost + q.cost,
-                    (p.name, q.name),
-                    _SAME_CAR + i * _N_CAR + j,
-                )
-            )
-    for i in range(_N_CAR):
-        for j in range(_N_CAR):
-            p, q = CAR_PREDICATES[i], CAR_PREDICATES[j]
-            specs.append(
-                (
-                    "infront",
-                    f"{p.name}_infront_{q.name}",
-                    infront + p.cost + q.cost,
-                    (p.name, q.name),
-                    _INFRONT + i * _N_CAR + j,
-                )
-            )
-    for k, p in enumerate(TRAIN_PREDICATES):
-        specs.append(("train", p.name, p.cost, (p.name,), _TRAIN + k))
+    if isinstance(feature_set, str) and feature_set not in ("full", "unary_train"):
+        raise ValueError(
+            f"unknown feature set {feature_set!r}: expected 'full', 'unary_train' "
+            "or an iterable of feature names"
+        )
+    first = [p.template for p in CAR_PREDICATES]
+    second = [t.replace("{0}", "{1}") for t in first]  # the literal on an infront pair's second car
+    train = [p.template.format("T") for p in TRAIN_PREDICATES]
+    templates = (HAS_CAR_TEMPLATE, INFRONT_TEMPLATE, *first, *second, *train)
+    size_of = {t: _literal_size(t) for t in templates}.__getitem__  # each template sized once
+    cars = list(enumerate(CAR_PREDICATES))
+    # (kind, name, fragment, components, slot)
+    specs = [("unary", p.name, (HAS_CAR_TEMPLATE, first[i]), (p.name,), i) for i, p in cars]
+    specs += [
+        ("pair", f"{p.name}_{q.name}", (HAS_CAR_TEMPLATE, first[i], first[j]), (p.name, q.name),
+         _SAME_CAR + i * _N_CAR + j)
+        for (i, p), (j, q) in combinations(cars, 2)
+    ]
+    specs += [
+        ("infront", f"{p.name}_infront_{q.name}", (INFRONT_TEMPLATE, first[i], second[j]), (p.name, q.name),
+         _INFRONT + i * _N_CAR + j)
+        for (i, p), (j, q) in product(cars, repeat=2)
+    ]
+    specs += [("train", p.name, (train[k],), (p.name,), _TRAIN + k) for k, p in enumerate(TRAIN_PREDICATES)]
 
     if feature_set == "full":
         keep = specs
@@ -204,8 +192,8 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
         raise ValueError("the feature selection is empty")
 
     return [
-        FeatureSpec(index=i, kind=k, name=nm, cost=c, components=comp, slot=slot)
-        for i, (k, nm, c, comp, slot) in enumerate(keep)
+        FeatureSpec(i, kind, name, fragment, sum(map(size_of, fragment)), components, slot)
+        for i, (kind, name, fragment, components, slot) in enumerate(keep)
     ]
 
 

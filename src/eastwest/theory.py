@@ -17,14 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .features import (
-    HAS_CAR_TEMPLATE,
-    INFRONT_TEMPLATE,
-    PREDICATES,
-    FeatureMatrix,
-    FeatureSpec,
-    predicate_bits,
-)
+from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
 from .trains import EAST, WEST, Train, TrainFormatError, _Parser, program_size
 from .tree import Leaf, Tree
 
@@ -96,23 +89,14 @@ def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
 def _feature_literals(spec: FeatureSpec, car_var: str | None, names: Iterator[int]) -> list[str]:
     """Fragment literals for one positive feature occurrence.
 
-    `car_var` is the hoisted car variable; when given, unary/pair features
-    use it without their own has_car literal.
+    `car_var` is the hoisted car variable; when given, the feature's has_car
+    scaffold is dropped and its literals use that variable.
     """
-    preds = [PREDICATES[name] for name in spec.components]
-    if spec.kind == "train":
-        return [preds[0].literal("T")]
-    if spec.kind == "infront":
-        v1, v2 = f"C{next(names)}", f"C{next(names)}"
-        return [INFRONT_TEMPLATE.format(v1, v2), preds[0].literal(v1), preds[1].literal(v2)]
-    if car_var is None:
-        var = f"C{next(names)}"
-        lits = [HAS_CAR_TEMPLATE.format(var)]
-    else:
-        var = car_var
-        lits = []
-    lits += [p.literal(var) for p in preds]
-    return lits
+    if car_var is not None:
+        return [t.format(car_var) for t in spec.fragment[1:]]
+    # a fresh car variable for each placeholder of the scaffold
+    cars = [f"C{next(names)}" for _ in range(spec.fragment[0].count("{"))]
+    return [t.format(*cars) for t in spec.fragment]
 
 
 def _conjunction_text(
@@ -124,7 +108,7 @@ def _conjunction_text(
         spec = table[feat]
         if val == 1:
             car_var = None
-            if hoisted_var is not None and spec.kind in ("unary", "pair") and not used_hoisted:
+            if hoisted_var is not None and spec.fragment[0] == HAS_CAR_TEMPLATE and not used_hoisted:
                 car_var = hoisted_var
                 used_hoisted = True
             parts.extend(_feature_literals(spec, car_var, names))
@@ -149,7 +133,7 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     names = itertools.count(1)
 
     def binds_one_car(conj: Conjunction) -> bool:
-        return any(val == 1 and table[feat].kind in ("unary", "pair") for feat, val in conj)
+        return any(val == 1 and table[feat].fragment[0] == HAS_CAR_TEMPLATE for feat, val in conj)
 
     hoist = sum(1 for c in theory.dnf if binds_one_car(c)) >= 2
     hoisted_var = "C" if hoist else None
@@ -289,9 +273,11 @@ def theory_to_dict(theory: Theory, table: Sequence[FeatureSpec]) -> dict:
 
 
 def theory_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Theory:
-    """Raises ValueError for a literal value other than the int 0 or 1, or a
-    `program` or `complexity` of the wrong type; KeyError for an unknown
-    feature name."""
+    """Raises ValueError for data that is not an object with a `dnf` key, a
+    literal value other than the int 0 or 1, or a `program` or `complexity`
+    of the wrong type; KeyError for an unknown feature name."""
+    if not isinstance(data, dict) or "dnf" not in data:
+        raise ValueError("a theory must be an object with a 'dnf' key")
     by_name = {s.name: s.index for s in table}
 
     def literal(name: str, value) -> Literal:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eastwest
 from eastwest.cli import data_path, main
@@ -229,6 +233,8 @@ ERROR_TEXT = {
     "compound-car-field": "car length must be one of ('long', 'short'), got f(a)\n",
     "theory-complexity-not-an-int": "cannot load theory: complexity must be an integer, got str\n",
     "deep-theory-json": "cannot load theory: the JSON is nested too deeply\n",
+    "theory-unknown-feature": "unknown feature 'nope'\n",
+    "theory-without-dnf": "cannot load theory: a theory must be an object with a 'dnf' key\n",
 }
 
 NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
@@ -268,6 +274,14 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
             "--data", TRAINS20,
         ],
         lambda d: ["agree", _write(d / "a.json", "[" * 100_000), _write(d / "b.json", "{}"), "--data", TRAINS20],
+        lambda d: [
+            "agree",
+            _write(d / "a.json", '{"dnf": [[["train_2", 1]]]}'),
+            _write(d / "b.json", '{"dnf": [[["nope", 1]]]}'),
+            "--data", TRAINS20,
+        ],
+        lambda d: ["agree", _write(d / "a.json", '{"dnf": [[["train_2", 1]]]}'), _write(d / "b.json", "{}"),
+                   "--data", TRAINS20],
         lambda d: ["gen-trains", "--out", str(d / "missing" / "random.pl")],
         lambda d: ["induce", "--data", TRAINS20, "--emit-dir", _write(d / "file", "")] + FAST,
         lambda d: ["induce", "--data", _write(d / "compound.pl", COMPOUND_FIELD)],
@@ -294,6 +308,8 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "theory-literal-not-0-or-1",
         "theory-complexity-not-an-int",
         "deep-theory-json",
+        "theory-unknown-feature",
+        "theory-without-dnf",
         "gen-trains-out-in-missing-dir",
         "emit-dir-is-a-file",
         "compound-car-field",
@@ -306,6 +322,84 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, request, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert err.endswith(ERROR_TEXT.get(request.node.callspec.id, "")), err
+
+
+def mutations(seed, pieces):
+    """`seed` after one to four edits, each cutting up to 8 characters at some
+    position and inserting a piece of the input's own syntax or up to 3
+    arbitrary characters there."""
+    edit = st.tuples(
+        st.integers(0, len(seed)),
+        st.integers(0, 8),
+        st.one_of(st.sampled_from(pieces), st.text(max_size=3)),
+    )
+
+    def apply(edits):
+        text = seed
+        for at, cut, insert in edits:
+            text = text[:at] + insert + text[at + cut:]
+        return text
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def run_on_file(tmp_path_factory, text, argv):
+    """Exit code and stderr of `main(argv)`, with {} in argv naming a file of `text`."""
+    path = tmp_path_factory.getbasetemp() / "mutated"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if arg == "{}" else arg for arg in argv])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+PROGRAM = (
+    "eastbound(T) :-\n"
+    "    has_car(T, C),\n"
+    "    ((short(C), not((has_car(T, C1), ellipse(C1)))) ;\n"
+    "    (infront(T, C2, C3), arg(5, C2, peaked), has_load(C3, 0))).\n"
+)
+PROGRAM_PIECES = (
+    "eastbound", "not", "not(", "T", "C", "(", ")", ",", ";", ".", ":-", "[", "'", "%", "\n", "9" * 40,
+)
+
+THEORY = '{"dnf": [[["train_2", 1], ["ellipse", 0]], [["short_closed", 1]]], "program": "", "complexity": 0}'
+THEORY_PIECES = (
+    '"dnf"', '"program"', '"complexity"', '"nope"', '"train_2"', "[", "]", "{", "}", ",", ":", '"',
+    "0", "1", "-1", "2.5", "1e400", "NaN", "null", "true", "[[", "]]",
+)
+
+FEATURE_NAMES = "train_2\njagged_roof\nshort_closed\nlong_infront_circle_load\n"
+NAME_PIECES = ("ellipse", "train_3", "_infront_", "_", "\n", "\r", " ", "\t", "full", "unary_train")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations(PROGRAM, PROGRAM_PIECES))
+def test_score_on_mutated_programs_exits_cleanly(tmp_path_factory, text):
+    assert_clean_exit(*run_on_file(tmp_path_factory, text, ["score", "{}"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations(THEORY, THEORY_PIECES))
+def test_agree_on_mutated_theories_exits_cleanly(tmp_path_factory, text):
+    other = tmp_path_factory.getbasetemp() / "theory.json"
+    other.write_text(THEORY)
+    assert_clean_exit(*run_on_file(tmp_path_factory, text, ["agree", "{}", str(other), "--data", TRAINS10]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutations(FEATURE_NAMES, NAME_PIECES))
+def test_features_on_mutated_name_files_exits_cleanly(tmp_path_factory, text):
+    assert_clean_exit(*run_on_file(tmp_path_factory, text, ["features", "--features", "{}"]))
 
 
 def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):

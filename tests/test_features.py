@@ -10,6 +10,7 @@ from eastwest.features import (
     evaluate_features,
     feature_index,
 )
+from eastwest.theory import complexity
 from eastwest.trains import CAR_FIELDS, LABELS, Car, Train, random_trains
 
 from oracles import brute_force_value, reference_predicate_vector
@@ -54,7 +55,8 @@ def test_feature_costs(full_table, name, cost):
 
 
 def test_pair_and_infront_cost_rule(full_table):
-    by_name = {p.name: p.cost for p in CAR_PREDICATES}
+    # each predicate's literal is sized by the program scorer, apart from the table
+    by_name = {p.name: complexity(p.template.format("C") + ".") for p in CAR_PREDICATES}
     for spec in full_table:
         if spec.kind == "pair":
             assert spec.cost == 3 + by_name[spec.components[0]] + by_name[spec.components[1]]
@@ -177,6 +179,18 @@ def test_named_subset_and_unknown_name():
         build_feature_table(["no_such_feature"])
     with pytest.raises(ValueError):
         build_feature_table([])
+
+
+@pytest.mark.parametrize("feature_set", ["ellipse", "unary-train", ""])
+def test_a_bare_string_other_than_the_named_sets_is_rejected_whole(feature_set):
+    # a string is not read as an iterable of one-character feature names
+    message = (
+        f"unknown feature set {feature_set!r}: "
+        "expected 'full', 'unary_train' or an iterable of feature names"
+    )
+    with pytest.raises(ValueError) as exc:
+        build_feature_table(feature_set)
+    assert str(exc.value) == message
 
 
 def test_feature_index_unknown_raises(full_table):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -193,6 +194,26 @@ def test_negated_literal_costs_one_operator(full_table):
     assert theory.complexity == spec.cost + 4
 
 
+RENDER_DIGEST = "7e3846546172c78df405aafeea145552439a6a13a808841ad607d07e62250bb0"
+
+
+def test_every_feature_renders_as_pinned(full_table):
+    # sha256 over the program text and complexity of every feature of the full
+    # table rendered alone, negated, and first in a two-disjunct theory whose
+    # other disjunct binds one car, so that a unary or pair feature is hoisted
+    long = feature_index(full_table, "long")
+    digest = hashlib.sha256()
+    for spec in full_table:
+        for dnf in (
+            (((spec.index, 1),),),
+            (((spec.index, 0),),),
+            (((spec.index, 1),), ((long, 1),)),
+        ):
+            theory = finalize(Theory(dnf=dnf), full_table)
+            digest.update(f"{theory.rendered}{theory.complexity}\n".encode())
+    assert digest.hexdigest() == RENDER_DIGEST
+
+
 @pytest.mark.parametrize(
     "fragment,score",
     [
@@ -347,12 +368,21 @@ def test_theory_json_round_trip(reference_tree, matrix20, full_table):
         {"dnf": [[["train_2", 1]]], "complexity": "x"},
         {"dnf": [[["train_2", 1]]], "complexity": False},
         {"dnf": [[["train_2", 1]]], "program": 3},
+        [],
+        {"program": ""},
     ],
-    ids=["bool-literal", "float-literal", "str-complexity", "bool-complexity", "int-program"],
+    ids=["bool-literal", "float-literal", "str-complexity", "bool-complexity", "int-program",
+         "not-an-object", "no-dnf"],
 )
 def test_theory_from_dict_rejects_wrong_types(full_table, data):
     with pytest.raises(ValueError):
         theory_from_dict(data, full_table)
+
+
+def test_theory_from_dict_names_an_unknown_feature(full_table):
+    with pytest.raises(KeyError) as exc:
+        theory_from_dict({"dnf": [[["train_2", 1], ["nope", 0]]]}, full_table)
+    assert exc.value.args == ("nope",)
 
 
 def leaf_counts(tree):
