@@ -21,6 +21,17 @@ class CliError(Exception):
     pass
 
 
+# what str.splitlines breaks at, escaped so that an error stays one line whatever it quotes
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are `CliError`s, reported as one line."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def data_path(name: str) -> Path:
     """Path of a bundled dataset, e.g. 'trains20.pl'."""
     return Path(resources.files("eastwest.data") / name)
@@ -29,7 +40,7 @@ def data_path(name: str) -> Path:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and a NUL in the path
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
@@ -39,7 +50,7 @@ def _write_text(path: Path, text: str, mkdir: bool = False) -> None:
         if mkdir:
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
@@ -258,7 +269,7 @@ def cmd_gen_trains(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eastwest",
         description="Induce low-cost decision trees over train descriptions "
         "and emit them as sized logic programs.",
@@ -313,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
 
 

@@ -150,7 +150,8 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     `feature_set` may be "full", "unary_train" (unary + train features
     only), or an iterable of feature names selecting a custom subset;
     indices are always dense over the returned table.  Raises ValueError
-    for any other string, unknown names or an empty selection.
+    for any other string, unknown names (a name that is not a string is
+    unknown) or an empty selection.
     """
     if isinstance(feature_set, str) and feature_set not in ("full", "unary_train"):
         raise ValueError(
@@ -182,11 +183,13 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     elif feature_set == "unary_train":
         keep = [s for s in specs if s[0] in ("unary", "train")]
     else:
-        wanted = set(feature_set)
-        by_name = {s[1]: s for s in specs}
-        unknown = wanted - set(by_name)
+        names = list(feature_set)
+        known = {s[1] for s in specs}
+        # listed as given: names of mixed types do not sort
+        unknown = [name for name in names if not (isinstance(name, str) and name in known)]
         if unknown:
-            raise ValueError(f"unknown feature names: {sorted(unknown)}")
+            raise ValueError(f"unknown feature names: {unknown}")
+        wanted = set(names)
         keep = [s for s in specs if s[1] in wanted]
     if not keep:
         raise ValueError("the feature selection is empty")

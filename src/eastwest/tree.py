@@ -105,9 +105,9 @@ def _gains(m: int, pos: int, n1: np.ndarray, pos1: np.ndarray, h: np.ndarray) ->
     return np.maximum(h[m, pos] - child, 0.0)
 
 
-def selection_criterion(gain, bias, omega: float):
-    """Cost-sensitive attribute score: (2**gain - 1) / (bias + 1)**omega."""
-    return (np.power(2.0, gain) - 1.0) / np.power(np.asarray(bias, dtype=float) + 1.0, omega)
+def selection_criterion(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Score (2**gain - 1) / (bias + 1)**omega: `num` per example subset, `den` per genome."""
+    return num / den
 
 
 def _majority(pos: int, n: int) -> str:
@@ -129,8 +129,8 @@ class InductionMemo:
     - `entropy`: the `_entropy_table` of the matrix's size, built at the first
       impure subset `candidates` meets, so pruning alone never builds it;
     - `splits`: for each example subset, the features whose gain exceeds
-      `_GAIN_EPS` there, as small unsigned indices, and their gains; every
-      pure subset shares one empty entry;
+      `_GAIN_EPS` there, as small unsigned indices, and their score
+      numerators `2**gain - 1`; every pure subset shares one empty entry;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
     - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
       fills it, under the one cost vector and error cost of its run.
@@ -155,7 +155,7 @@ class InductionMemo:
         self._no_split = (np.empty(0, dtype=self._index), np.empty(0))
 
     def candidates(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(features with gain > _GAIN_EPS over the example subset s, their gains)."""
+        """(features with gain > _GAIN_EPS over the example subset s, their 2**gain - 1)."""
         found = self.splits.get(s)
         if found is None:
             m = s.bit_count()
@@ -170,7 +170,7 @@ class InductionMemo:
                 gains = _gains(m, pos, n1, pos1, self.entropy)
                 # a feature already tested on the path is constant here, so its gain is 0
                 cand = np.flatnonzero(gains > _GAIN_EPS)
-                found = (cand.astype(self._index), gains[cand])
+                found = (cand.astype(self._index), np.power(2.0, gains[cand]) - 1.0)
             else:  # a pure subset has no gain
                 found = self._no_split
             self.splits[s] = found
@@ -194,16 +194,16 @@ def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMem
     return memo
 
 
-def _grow(s, weights, omega, memo):
-    cand, gains = memo.candidates(s)
+def _grow(s, den, memo):
+    cand, num = memo.candidates(s)
     if not cand.size:
         n = s.bit_count()
         return Leaf(_majority((s & memo.east).bit_count(), n), n)
     # every candidate's score is finite and positive, so this is the argmax
     # over all features with the non-candidates scored -inf
-    best = int(cand[np.argmax(selection_criterion(gains, weights[cand], omega))])
+    best = int(cand[selection_criterion(num, den[cand]).argmax()])
     t = s & memo.cols[best]
-    return Node(best, _grow(t, weights, omega, memo), _grow(s ^ t, weights, omega, memo))
+    return Node(best, _grow(t, den, memo), _grow(s ^ t, den, memo))
 
 
 def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | None = None) -> Tree:
@@ -219,7 +219,8 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
             f"bias has {bias.weights.size} weights for {matrix.n_features} features"
         )
     memo = _memo_for(matrix, memo)
-    tree = _grow(memo.everyone, bias.weights, bias.omega, memo)
+    # the score's denominator depends on the genome alone
+    tree = _grow(memo.everyone, np.power(bias.weights + 1.0, bias.omega), memo)
     return prune(tree, bias.cf, matrix, memo)
 
 

@@ -235,6 +235,9 @@ ERROR_TEXT = {
     "deep-theory-json": "cannot load theory: the JSON is nested too deeply\n",
     "theory-unknown-feature": "unknown feature 'nope'\n",
     "theory-without-dnf": "cannot load theory: a theory must be an object with a 'dnf' key\n",
+    "usage-error": "error: eastwest induce: argument --pop-size: invalid int value: 'x'\n",
+    "line-break-in-an-argument": "unrecognized arguments: a\\nb\n",
+    "nul-in-data-path": "cannot read \x00: embedded null byte\n",
 }
 
 NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
@@ -285,6 +288,11 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         lambda d: ["gen-trains", "--out", str(d / "missing" / "random.pl")],
         lambda d: ["induce", "--data", TRAINS20, "--emit-dir", _write(d / "file", "")] + FAST,
         lambda d: ["induce", "--data", _write(d / "compound.pl", COMPOUND_FIELD)],
+        lambda d: ["induce", "--data", TRAINS20, "--pop-size", "x"],
+        lambda d: ["induce", "--data", TRAINS20, "a\nb"],
+        lambda d: ["induce", "--data", "\x00"],
+        lambda d: ["induce", "--data", TRAINS20, "--emit-dir", "\x00"] + FAST,
+        lambda d: ["gen-trains", "--out", "\x00"],
     ],
     ids=[
         "empty-features-file",
@@ -313,6 +321,11 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "gen-trains-out-in-missing-dir",
         "emit-dir-is-a-file",
         "compound-car-field",
+        "usage-error",
+        "line-break-in-an-argument",
+        "nul-in-data-path",
+        "nul-in-emit-dir",
+        "nul-in-gen-trains-out",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, request, case):
@@ -344,12 +357,32 @@ def mutations(seed, pieces):
 
 
 def run_on_file(tmp_path_factory, text, argv):
-    """Exit code and stderr of `main(argv)`, with {} in argv naming a file of `text`."""
-    path = tmp_path_factory.getbasetemp() / "mutated"
-    path.write_text(text, encoding="utf-8")
+    """Exit code and stderr of `main(argv)` run in process. In argv, {} names a
+    file of `text`, and {names}, {dir}, {file} and {missing} a file of feature
+    names, an output directory, an empty file and a path in a missing directory.
+    It runs in a directory below the temporary one, so an edit that turns some
+    token into a relative output path, ".." included, writes in the latter.
+    `--help` exits through SystemExit, whose code is taken."""
+    base = tmp_path_factory.getbasetemp()
+    paths = {
+        "{}": base / "mutated",
+        "{names}": base / "names.txt",
+        "{dir}": base / "emitted",
+        "{file}": base / "plain",
+        "{missing}": base / "missing" / "out",
+    }
+    paths["{}"].write_text(text, encoding="utf-8")
+    paths["{names}"].write_text(FEATURE_NAMES)
+    paths["{file}"].write_text("")
+    cwd = base / "cwd"
+    cwd.mkdir(exist_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(path) if arg == "{}" else arg for arg in argv])
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.chdir(cwd)
+        try:
+            code = main([str(paths.get(arg, arg)) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -400,6 +433,84 @@ def test_agree_on_mutated_theories_exits_cleanly(tmp_path_factory, text):
 @given(mutations(FEATURE_NAMES, NAME_PIECES))
 def test_features_on_mutated_name_files_exits_cleanly(tmp_path_factory, text):
     assert_clean_exit(*run_on_file(tmp_path_factory, text, ["features", "--features", "{}"]))
+
+
+TRAIN_FACTS = Path(TRAINS10).read_text()
+TRAIN_PIECES = (
+    "eastbound(", "westbound(", "[", "]", "c(", "l(", "(", ")", ",", ".", "%", "'", "\n", "short", "long",
+    "double", "peaked", "u_shaped", "circle", "0", "-1", "5", "X", "_", "9" * 40,
+)
+
+# tokens an argv edit inserts: options, values, the placeholders run_on_file fills
+# in, and a line break and a NUL, which no path may hold
+ARG_PIECES = (
+    "--data", "--seed", "--features", "--emit-dir", "--format", "--out", "--count", "--bogus", "--help",
+    "-", "--", "=", "json", "text", "full", "unary-train", "nope", "0", "-1", "x", "nan",
+    "{}", "{names}", "{dir}", "{file}", "{missing}", "a\nb", "\x00",
+)
+
+
+def argv_mutations(base):
+    """`base` after one to four edits, each cutting up to one token at some
+    position and inserting an option, a value or up to 3 arbitrary characters
+    there. No "/" is drawn, so no edit can name an absolute output path."""
+    edit = st.tuples(
+        st.integers(0, len(base)),
+        st.integers(0, 1),
+        st.one_of(st.none(), st.sampled_from(ARG_PIECES), st.text(st.characters(exclude_characters="/"), max_size=3)),
+    )
+
+    def apply(edits):
+        argv = list(base)
+        for at, cut, insert in edits:
+            argv[at:at + cut] = [] if insert is None else [insert]
+        return argv
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def small_ga(pop_size, generations):
+    """The GA options every induce and multi example ends with: the last
+    occurrence of an option wins, so no edit can ask for a larger search."""
+    return ["--pop-size", pop_size, "--generations", generations]
+
+
+POP_SIZES = st.sampled_from(["1", "2", "4", "0", "-1", "x"])
+GENERATIONS = st.sampled_from(["1", "2", "0", "x"])
+INDUCE = ["induce", "--data", "{}", "--seed", "3", "--features", "{names}", "--emit-dir", "{dir}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv_mutations(INDUCE), POP_SIZES, GENERATIONS)
+def test_induce_on_mutated_argv_exits_cleanly(tmp_path_factory, argv, pop_size, generations):
+    assert_clean_exit(*run_on_file(tmp_path_factory, TRAIN_FACTS, argv + small_ga(pop_size, generations)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutations(TRAIN_FACTS, TRAIN_PIECES), st.sampled_from(["full", "unary-train"]))
+def test_induce_on_mutated_train_facts_exits_cleanly(tmp_path_factory, text, feature_set):
+    argv = ["induce", "--data", "{}", "--features", feature_set] + small_ga("2", "1")
+    assert_clean_exit(*run_on_file(tmp_path_factory, text, argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    argv_mutations(["multi", "--data", "{}", "--data", TRAINS10, "--format", "json", "--features", "unary-train"]),
+    mutations(TRAIN_FACTS, TRAIN_PIECES),
+    POP_SIZES,
+    GENERATIONS,
+)
+def test_multi_on_mutated_argv_and_train_facts_exits_cleanly(tmp_path_factory, argv, text, pop_size, generations):
+    assert_clean_exit(*run_on_file(tmp_path_factory, text, argv + small_ga(pop_size, generations)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv_mutations(["gen-trains", "--seed", "7", "--out", "{file}"]),
+    st.sampled_from(["0", "1", "5", "-1", "x", ""]),
+)
+def test_gen_trains_on_mutated_argv_exits_cleanly(tmp_path_factory, argv, count):
+    assert_clean_exit(*run_on_file(tmp_path_factory, TRAIN_FACTS, argv + ["--count", count]))
 
 
 def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):

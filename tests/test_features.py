@@ -181,6 +181,18 @@ def test_named_subset_and_unknown_name():
         build_feature_table([])
 
 
+@pytest.mark.parametrize(
+    "names,listed",
+    [(["nope", 1], "['nope', 1]"), ([1], "[1]"), (["train_2", None, ["x"]], "[None, ['x']]")],
+    ids=["str-and-int", "int", "unhashable"],
+)
+def test_a_name_that_is_not_a_string_is_an_unknown_name(names, listed):
+    # listed as given: mixed types do not sort, and a list does not hash
+    with pytest.raises(ValueError) as exc:
+        build_feature_table(names)
+    assert str(exc.value) == f"unknown feature names: {listed}"
+
+
 @pytest.mark.parametrize("feature_set", ["ellipse", "unary-train", ""])
 def test_a_bare_string_other_than_the_named_sets_is_rejected_whole(feature_set):
     # a string is not read as an iterable of one-character feature names

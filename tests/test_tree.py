@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
+import eastwest.tree as tree_module
 from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features
 from eastwest.trains import random_trains
 from eastwest.tree import (
@@ -64,12 +65,27 @@ def bitset(rows):
     return sum(1 << int(i) for i in rows)
 
 
+def memo_split(matrix, rows):
+    """(candidates, numerators, gains) of a fresh memo's `candidates` over the
+    `rows` subset. The gains are every feature's, as the popcount path computes
+    them, caught on their way into the numerators (None for a pure subset)."""
+    caught = []
+
+    def spy(*args):
+        caught.append(_gains(*args))
+        return caught[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "_gains", spy)
+        cand, num = InductionMemo(matrix).candidates(bitset(rows))
+    return cand, num, (caught[0] if caught else None)
+
+
 def information_gain(matrix, subset, feature):
     """Gain of splitting the `subset` rows of `matrix` on one feature, as the
-    memo scores it: 0 unless the feature is a candidate there."""
-    cand, gains = InductionMemo(matrix).candidates(bitset(subset))
-    hit = np.flatnonzero(cand == feature)
-    return float(gains[hit[0]]) if hit.size else 0.0
+    memo computes it: 0 unless the feature is a candidate there."""
+    cand, _, gains = memo_split(matrix, subset)
+    return float(gains[feature]) if feature in cand else 0.0
 
 
 def test_gain_perfect_split():
@@ -125,16 +141,20 @@ def test_table_gains_equal_float_gains_bit_for_bit(n, n_features, labelling, see
         "all east": np.ones(n, dtype=bool),
         "all west": np.zeros(n, dtype=bool),
     }[labelling]
-    memo = InductionMemo(make_matrix(values, labels))  # one table for the matrix, as a run builds it
+    matrix = make_matrix(values, labels)
     subset = np.sort(rng.permutation(n)[: rng.integers(1, n + 1)])
     for rows in (np.arange(n), subset, subset[:1], subset[-2:]):  # m = n, any m, m = 1, the last rows
         x, y = values[rows], labels[rows]
-        want = float_gains(x, y)
-        cand, gains = memo.candidates(bitset(rows))  # counted by word popcounts
-        assert np.array_equal(cand, np.flatnonzero(want > _GAIN_EPS))
-        assert gains.tobytes() == want[cand].tobytes()
-        assert np.all(np.delete(want, cand) <= _GAIN_EPS)
         m, pos = rows.size, int(y.sum())
+        want = float_gains(x, y)
+        # counted by word popcounts, with a table of the matrix's size, as a run builds it
+        cand, num, gains = memo_split(matrix, rows)
+        assert np.array_equal(cand, np.flatnonzero(want > _GAIN_EPS))
+        assert num.tobytes() == (np.power(2.0, want[cand]) - 1.0).tobytes()
+        if 0 < pos < m:
+            assert gains.tobytes() == want.tobytes()
+        else:  # a pure subset is never counted, and no feature has a gain there
+            assert gains is None and not want.any()
         n1, pos1 = x.sum(axis=0), x[y].sum(axis=0)
         assert _gains(m, pos, n1, pos1, _entropy_table(m)).tobytes() == want.tobytes()  # a table of exactly m
 
@@ -192,9 +212,30 @@ def test_induce_matches_reference_across_word_boundaries(n):
 
 # --- selection criterion ----------------------------------------------------
 
+def root_scores(gains, weights, omega):
+    """The root's candidate scores as `induce_tree` composes them when the root's
+    gains are `gains`: the memo's numerators over the genome's denominators,
+    caught at the split hook."""
+    n = len(gains)
+    m = make_matrix([[1] * n, [0] * n], [1, 0])  # both children of any split are pure
+    scores = []
+
+    def hook(num, den):
+        scores.append(selection_criterion(num, den))
+        return scores[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "_gains", lambda *args: np.asarray(gains, dtype=float))
+        mp.setattr(tree_module, "selection_criterion", hook)
+        induce_tree(m, grow_only_bias(n, weights, omega))
+    assert len(scores) <= 1
+    return scores[0] if scores else np.empty(0)
+
+
 def test_selection_criterion_arithmetic():
-    assert selection_criterion(1.0, 0.0, 0.5) == pytest.approx(1.0)
-    assert selection_criterion(1.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert root_scores([1.0], [0.0], 0.5).tolist() == pytest.approx([1.0])
+    assert root_scores([1.0], [1.0], 1.0).tolist() == pytest.approx([0.5])
+    assert root_scores([1.0, 0.0, 0.5], [3.0, 0.0, 0.0], 0.5).tolist() == pytest.approx([0.5, 2**0.5 - 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,21 +243,57 @@ def test_selection_criterion_arithmetic():
     st.floats(0, 1), st.floats(0, 10000), st.floats(0, 1)
 )
 def test_selection_criterion_matches_oracle(gain, bias, omega):
-    assert selection_criterion(gain, bias, omega) == pytest.approx(
-        selection_score_oracle(gain, bias, omega)
-    )
+    scores = root_scores([gain], [bias], omega)
+    if gain > _GAIN_EPS:
+        assert scores.tolist() == pytest.approx([selection_score_oracle(gain, bias, omega)])
+    else:  # no candidate, so no split is scored
+        assert scores.size == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 10000))
 def test_omega_zero_ignores_bias(gain, bias):
-    assert selection_criterion(gain, bias, 0.0) == pytest.approx(2.0**gain - 1.0)
+    want = [2.0**gain - 1.0] if gain > _GAIN_EPS else []
+    assert root_scores([gain], [bias], 0.0).tolist() == pytest.approx(want)
 
 
 def test_selection_criterion_non_increasing_in_bias():
-    biases = np.linspace(0, 10000, 50)
-    scores = selection_criterion(0.7, biases, 0.8)
+    scores = root_scores(np.full(50, 0.7), np.linspace(0, 10000, 50), 0.8)
+    assert scores.size == 50
     assert np.all(np.diff(scores) <= 1e-15)
+
+
+def split_features(tree):
+    if isinstance(tree, Leaf):
+        return set()
+    return {tree.feature} | split_features(tree.on_true) | split_features(tree.on_false)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_score_ties_break_toward_the_lowest_feature_as_the_reference_does(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.random((40, 4)) < 0.5
+    labels = base[:, 0] ^ (base[:, 1] & base[:, 2]) ^ (rng.random(40) < 0.15)
+    # features 4-6 copy features 0-2 and feature 7 is feature 3's complement, so
+    # each of the four pairs has one gain, bit for bit, on every subset
+    m = make_matrix(np.concatenate([base, base[:, :3], ~base[:, 3:]], axis=1), labels)
+    memo = InductionMemo(m)  # shared by every bias, as an evolve run shares it
+    ends = np.tile([0.0, B_MAX, 0.0, B_MAX], 2)  # each pair's two weights are equal
+    cases = [
+        (np.zeros(8), 0.7),  # equal weights
+        (np.full(8, 3.0), 1.0),
+        (rng.uniform(0, B_MAX, 8), 0.0),  # omega 0: every denominator is 1
+        (ends, 1.0),  # weights at both ends of their range
+        (ends, 0.3),
+    ]
+    for weights, omega in cases:
+        for cf in (25.0, 100.0):
+            bias = BiasVector(weights, omega, cf)
+            tree = induce_tree(m, bias, memo)
+            assert tree == reference_induce(m, bias)
+            # every test is half of a tie, and the lower index won it
+            assert split_features(tree) <= {0, 1, 2, 3}
+            assert cf < 100.0 or split_features(tree)
 
 
 # --- growing ----------------------------------------------------------------
