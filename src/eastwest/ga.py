@@ -18,7 +18,8 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .tree import (
-    BiasVector, FitnessReport, InductionMemo, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, fitness, induce_tree, tree_signature
+    BiasVector, FitnessReport, InductionMemo, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, OMEGA_MIN, OMEGA_MAX,
+    fitness, induce_tree, tree_signature,
 )
 
 
@@ -63,8 +64,8 @@ class EvolutionResult:
 
 
 def _gene_bounds(n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    lows = np.concatenate([np.zeros(n_features), [0.0, CF_MIN]])
-    highs = np.concatenate([np.full(n_features, B_MAX), [1.0, CF_MAX]])
+    lows = np.concatenate([np.zeros(n_features), [OMEGA_MIN, CF_MIN]])
+    highs = np.concatenate([np.full(n_features, B_MAX), [OMEGA_MAX, CF_MAX]])
     return lows, highs
 
 
@@ -92,11 +93,11 @@ def evaluate_individual(
     return tree, report
 
 
-def _rank_probabilities(fitnesses: np.ndarray) -> np.ndarray:
-    # lowest fitness gets the highest rank weight; scale-free in fitness
-    order = np.argsort(fitnesses, kind="stable")
-    weights = np.empty_like(fitnesses)
-    n = len(fitnesses)
+def _rank_probabilities(order: np.ndarray) -> np.ndarray:
+    """Selection probability of each genome, given the genomes' indices from
+    fittest (lowest fitness) to least fit; scale-free in fitness."""
+    n = len(order)
+    weights = np.empty(n)
     weights[order] = np.arange(n, 0, -1, dtype=float)
     return weights / weights.sum()
 
@@ -155,7 +156,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
             break
 
         order = np.argsort(fitnesses, kind="stable")
-        probs = _rank_probabilities(fitnesses)
+        probs = _rank_probabilities(order)
         next_pop = [pop[i].copy() for i in order[:ELITISM_COUNT]]
         while len(next_pop) < config.population_size:
             pa, pb = rng.choice(config.population_size, size=2, p=probs)

@@ -21,6 +21,7 @@ from .trains import EAST, WEST
 
 B_MAX = 10000.0
 CF_MIN, CF_MAX = 1.0, 100.0
+OMEGA_MIN, OMEGA_MAX = 0.0, 1.0
 ERROR_COST = 1000.0  # fitness price of a 100% training error rate
 
 _GAIN_EPS = 1e-12
@@ -41,8 +42,8 @@ class BiasVector:
             raise ValueError("bias weights must be a 1-d vector")
         if w.size and not (w.min() >= 0 and w.max() <= B_MAX):  # NaN fails both comparisons
             raise ValueError(f"bias weights must lie in [0, {B_MAX}]")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
+        if not OMEGA_MIN <= self.omega <= OMEGA_MAX:
+            raise ValueError(f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}]")
         if not CF_MIN <= self.cf <= CF_MAX:
             raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
 
@@ -71,22 +72,13 @@ class FitnessReport:
     fitness: float
 
 
-def _entropy(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Binary entropy of `pos` positives out of `n`, elementwise; 0 when n = 0."""
-    pos = np.asarray(pos, dtype=float)
-    n = np.asarray(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
-        h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-              + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
-    return np.where(n > 0, h, 0.0)
-
-
 def _entropy_table(n_max: int) -> np.ndarray:
-    """`H[n, pos] = _entropy(pos, n)` for 0 <= pos <= n <= n_max; (n_max + 1)**2 floats."""
-    n, pos = np.tril_indices(n_max + 1)
+    """`H[n, pos]`, the binary entropy of pos positives out of n, for 0 <= pos <= n <= n_max;
+    (n_max + 1)**2 floats, 0 where n = 0 or the split is pure (pos = 0 or pos = n)."""
     table = np.zeros((n_max + 1, n_max + 1))
-    table[n, pos] = _entropy(pos, n)
+    for n in range(2, n_max + 1):  # row by row, so the table is the build's only large array
+        p = np.arange(1, n) / n
+        table[n, 1:n] = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
     return table
 
 
@@ -96,7 +88,7 @@ def _gains(m: int, pos: int, n1: np.ndarray, pos1: np.ndarray, h: np.ndarray) ->
     `n1` and `pos1` count, per feature, the subset's examples and east examples
     the feature holds for. The counts are integers and the entropies are read
     from `h` (an `_entropy_table` of at least m examples), so every gain is the
-    float `_entropy` would give term for term.
+    float the entropy formula gives from the float counts, term for term.
     """
     flat, width = h.ravel(), np.intp(h.shape[1])  # a flat take reads the floats h[n, pos] would
     at1 = n1 * width + pos1  # h[n1, pos1]

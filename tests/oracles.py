@@ -149,28 +149,34 @@ def information_gain_oracle(column, labels) -> float:
     return parent - child
 
 
+def float_entropy(pos, n):
+    """Binary entropy of `pos` positives out of `n`, elementwise over float
+    arrays; 0 where n = 0 or the split is pure. The entropies every entry of
+    the package's table must equal bit for bit."""
+    import numpy as np
+
+    pos = np.asarray(pos, dtype=float)
+    n = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
+        h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
+              + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
+    return np.where(n > 0, h, 0.0)
+
+
 def float_gains(values, labels):
     """Information gains of every column, with the entropies computed from
     float arrays at every call: the arithmetic the package's entropy table
     must reproduce bit for bit."""
     import numpy as np
 
-    def entropy(pos, n):
-        pos = np.asarray(pos, dtype=float)
-        n = np.asarray(n, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
-            h = -(np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-                  + np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0))
-        return np.where(n > 0, h, 0.0)
-
     m = values.shape[0]
     pos = labels.sum()
     n1 = values.sum(axis=0)
     pos1 = values[labels].sum(axis=0) if pos else np.zeros(values.shape[1])
     n0 = m - n1
-    child = (n1 / m) * entropy(pos1, n1) + (n0 / m) * entropy(pos - pos1, n0)
-    return np.maximum(entropy(pos, m) - child, 0.0)
+    child = (n1 / m) * float_entropy(pos1, n1) + (n0 / m) * float_entropy(pos - pos1, n0)
+    return np.maximum(float_entropy(pos, m) - child, 0.0)
 
 
 def selection_score_oracle(gain: float, bias: float, omega: float) -> float:

@@ -8,6 +8,7 @@ from eastwest.ga import (
     ELITISM_COUNT,
     MUTATION_RATE,
     GaConfig,
+    _gene_bounds,
     evaluate_individual,
     evolve,
     genome_to_bias,
@@ -89,6 +90,17 @@ def test_genome_to_bias_maps_tail_genes():
     assert list(bias.weights) == [1.0, 2.0, 3.0]
     assert bias.omega == 0.25
     assert bias.cf == 42.0
+
+
+def test_genome_to_bias_accepts_the_gene_bounds_at_both_corners():
+    lows, highs = _gene_bounds(3)
+    for corner in (lows, highs):
+        bias = genome_to_bias(corner)
+        assert np.array_equal(bias.weights, corner[:-2]) and (bias.omega, bias.cf) == (corner[-2], corner[-1])
+    past_omega = highs.copy()
+    past_omega[-2] = np.nextafter(highs[-2], np.inf)
+    with pytest.raises(ValueError, match=r"^omega must lie in \[0, 1\]$"):
+        genome_to_bias(past_omega)
 
 
 def test_same_seed_reproduces_run(easy_problem):

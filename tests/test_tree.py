@@ -36,6 +36,7 @@ from eastwest.tree import test_cost as static_test_cost
 
 from oracles import (
     binomial_upper_bound,
+    float_entropy,
     float_gains,
     information_gain_oracle,
     reference_induce,
@@ -157,6 +158,27 @@ def test_table_gains_equal_float_gains_bit_for_bit(n, n_features, labelling, see
             assert gains is None and not want.any()
         n1, pos1 = x.sum(axis=0), x[y].sum(axis=0)
         assert _gains(m, pos, n1, pos1, _entropy_table(m)).tobytes() == want.tobytes()  # a table of exactly m
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 63, 64, 65, 300])
+def test_entropy_table_matches_float_recipe(n_max):
+    table = _entropy_table(n_max)
+    assert table.shape == (n_max + 1, n_max + 1)
+    n, pos = np.indices(table.shape)
+    impure = (0 < pos) & (pos < n)
+    assert table[impure].tobytes() == float_entropy(pos[impure], n[impure]).tobytes()
+    assert (table[~impure] == 0).all()  # pure (pos = 0 or pos = n) and empty (pos > n); either sign of zero
+
+
+def test_entropy_table_build_peak():
+    # built a row at a time, the table itself is the build's only large array
+    tracemalloc.start()
+    try:
+        table = _entropy_table(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * table.nbytes
 
 
 def test_rounding_noise_gain_is_not_a_split():

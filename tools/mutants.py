@@ -1,0 +1,160 @@
+"""Mutation checks: each mutant breaks one line of the package, and the tests
+named with it must then fail.
+
+Run from anywhere, with numpy, scipy, pytest and hypothesis installed:
+
+    python tools/mutants.py
+
+For each mutant the runner copies `src/`, `tests/` and `pyproject.toml` into a
+fresh temporary directory outside the checkout, replaces the mutant's old text
+(which must occur exactly once in its file, so a refactor that moves the code
+fails here loudly and the mutant must be re-targeted) with its new text, and
+runs each of the mutant's tests there in its own pytest call. The mutant is
+killed when every one of them fails. A control copy with no replacement runs
+every named test and must pass. The exit status is 0 only when the control
+passes and every mutant is killed.
+
+A change that checks a new optimisation with a hand-made mutant adds it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str  # what the replacement breaks
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "gain-eps-filter",
+        "src/eastwest/tree.py",
+        "cand = np.flatnonzero(gains > _GAIN_EPS)",
+        "cand = np.flatnonzero(gains > 0)",
+        ("tests/test_tree.py::test_rounding_noise_gain_is_not_a_split",),
+    ),
+    Mutant(
+        "bound-key-cf",
+        "src/eastwest/tree.py",
+        "key = (errors, n, cf)",
+        "key = (errors, n)",
+        (
+            "tests/test_tree.py::test_exact_score_ties_break_toward_the_lowest_feature_as_the_reference_does",
+            "tests/test_ga.py::test_evolved_trees_match_unmemoized_reference",
+        ),
+    ),
+    Mutant(
+        "packbits-bitorder",
+        "src/eastwest/tree.py",
+        'np.packbits(matrix.values, axis=0, bitorder="little")',
+        'np.packbits(matrix.values, axis=0, bitorder="big")',
+        ("tests/test_tree.py::test_words_hold_each_column_row_by_row_with_zero_padding",),
+    ),
+    Mutant(
+        "classify-slot",
+        "src/eastwest/theory.py",
+        "bits >> table[feat].slot & 1",
+        "bits >> table[feat].index & 1",
+        (
+            "tests/test_theory.py::test_classify_matches_evaluate_dnf",
+            "tests/test_theory.py::test_classify_and_agreement_match_the_matrix_on_subset_tables",
+        ),
+    ),
+    Mutant(
+        "simplify-order",
+        "src/eastwest/theory.py",
+        "for wanted_value in (0, 1):",
+        "for wanted_value in (1, 0):",
+        ("tests/test_theory.py::test_one_pass_simplify_matches_fixpoint_reference",),
+    ),
+    Mutant(
+        "prune-tie",
+        "src/eastwest/tree.py",
+        "if leaf_est < subtree_est:",
+        "if leaf_est <= subtree_est:",
+        ("tests/test_tree.py::test_prune_recounts_a_branch_that_receives_no_example",),
+    ),
+    Mutant(
+        "entropy-row-2",
+        "src/eastwest/tree.py",
+        "for n in range(2, n_max + 1):",
+        "for n in range(3, n_max + 1):",
+        ("tests/test_tree.py::test_entropy_table_matches_float_recipe",),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _apply(dest: Path, mutant: Mutant) -> None:
+    path = dest / mutant.file
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"mutant {mutant.name!r}: {mutant.old!r} occurs {found} times in {mutant.file}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _pytest(mutant: Mutant | None, groups: list[tuple[str, ...]]) -> list[int]:
+    """pytest's exit status on each group of tests, in one fresh copy with
+    `mutant` applied."""
+    with tempfile.TemporaryDirectory(prefix="eastwest-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if mutant is not None:
+            _apply(dest, mutant)
+        env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        return [subprocess.run([*command, *tests], cwd=dest, env=env, capture_output=True).returncode
+                for tests in groups]
+
+
+def _verdict(status: int) -> str:
+    # 1 is "tests failed"; any other status (an import or collection error,
+    # an unknown test id) is not a kill that a test made
+    return "killed" if status == 1 else ("SURVIVED" if status == 0 else f"ERROR (pytest exit {status})")
+
+
+def main() -> int:
+    control = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    start = time.perf_counter()
+    [status] = _pytest(None, [control])
+    print(f"control: {'passed' if status == 0 else f'FAILED (pytest exit {status})'} "
+          f"[{len(control)} tests, {time.perf_counter() - start:.1f} s]")
+    ok = status == 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        statuses = _pytest(mutant, [(test,) for test in mutant.tests])
+        killed = all(s == 1 for s in statuses)
+        print(f"{mutant.name}: {'killed' if killed else 'NOT KILLED'} [{time.perf_counter() - start:.1f} s]")
+        for test, s in zip(mutant.tests, statuses):
+            print(f"  {_verdict(s)}: {test}")
+        ok &= killed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
