@@ -5,44 +5,3 @@ feature space with size-complexity costs, search bias space with a genetic
 algorithm wrapping a bias-adjustable C4.5-style learner, and emit the best
 tree as a logic program scored by the same size metric.
 """
-
-from .trains import Car, Train, TrainFormatError, parse_trains, render_train, load_trains
-from .features import (
-    FeatureMatrix,
-    FeatureSpec,
-    build_feature_table,
-    evaluate_features,
-)
-from .tree import BiasVector, FitnessReport, Leaf, Node, fitness, induce_tree, prune
-from .ga import EvolutionResult, GaConfig, evolve
-from .theory import Theory, agreement, classify, complexity, render_program, simplify_dnf, tree_to_dnf
-
-__all__ = [
-    "Car",
-    "Train",
-    "TrainFormatError",
-    "parse_trains",
-    "render_train",
-    "load_trains",
-    "FeatureMatrix",
-    "FeatureSpec",
-    "build_feature_table",
-    "evaluate_features",
-    "BiasVector",
-    "FitnessReport",
-    "Leaf",
-    "Node",
-    "fitness",
-    "induce_tree",
-    "prune",
-    "EvolutionResult",
-    "GaConfig",
-    "evolve",
-    "Theory",
-    "agreement",
-    "classify",
-    "complexity",
-    "render_program",
-    "simplify_dnf",
-    "tree_to_dnf",
-]

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
-from .trains import EAST, WEST, Train, TrainFormatError, _Parser, program_size
+from .trains import EAST, WEST, Train, TrainFormatError, _kind, _Parser, program_size
 from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list
@@ -171,35 +171,35 @@ class _ProgParser(_Parser):
     """Syntax check for the emitter's restricted output grammar."""
 
     def parse_program(self):
-        while self.peek()[0] is not None:
+        while self.peek() is not None:
             self.parse_unit()
 
     def parse_unit(self):
         # a unit with ':-' is a clause; a bare comma-list is a fragment
         self.parse_literal()
-        if self.peek()[0] == "neck":
+        if self.peek() == ":-":
             self.next()
             self.parse_body()
         else:
-            while self.peek()[0] == ",":
+            while self.peek() == ",":
                 self.next()
                 self.parse_literal()
         self.expect(".")
 
     def parse_body(self):
         self.parse_conjunction()
-        while self.peek()[0] == ";":
+        while self.peek() == ";":
             self.next()
             self.parse_conjunction()
 
     def parse_conjunction(self):
         self.parse_primary()
-        while self.peek()[0] == ",":
+        while self.peek() == ",":
             self.next()
             self.parse_primary()
 
     def parse_primary(self):
-        if self.peek()[0] == "(":
+        if self.peek() == "(":
             self.next()
             self.parse_body()
             self.expect(")")
@@ -207,21 +207,20 @@ class _ProgParser(_Parser):
             self.parse_literal()
 
     def parse_literal(self):
-        tok = self.expect("atom")
-        if tok[1] == "not":
+        if self.expect("atom") == "not":
             self.parse_primary()
-        elif self.peek()[0] == "(":
+        elif self.peek() == "(":
             self.next()
             self.parse_arg()
-            while self.peek()[0] == ",":
+            while self.peek() == ",":
                 self.next()
                 self.parse_arg()
             self.expect(")")
 
     def parse_arg(self):
-        tok = self.next()
-        if tok[0] not in ("var", "int", "atom"):
-            raise self.error(f"expected an argument, found {tok[0]!r}", self.i - 1)
+        kind = _kind(self.next())
+        if kind not in ("var", "int", "atom"):
+            raise self.error(f"expected an argument, found {kind!r}", self.i - 1)
 
 
 def complexity(program_text: str) -> int:

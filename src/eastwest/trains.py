@@ -100,21 +100,28 @@ class Train:
 
 # --- tokenizer and token cursor (shared with the program scorer) ----------
 
-# one group-free pattern; a token's kind is read from its first character
+# one group-free pattern; a token is its text
 _TOKEN_RE = re.compile(r"%[^\n]*|:-|\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|\S")
 
-# kind of a token by its first character; punctuation is its own kind.  A
-# first character missing here starts a comment, `:-`, a non-ASCII decimal
-# integer (only `\d` matches one) or a bad character.
-_KINDS = {
-    **dict.fromkeys("0123456789", "int"),
-    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "atom"),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "var"),
-    **{c: c for c in "()[],.;"},
-}
+_ATOM_STARTS = frozenset("abcdefghijklmnopqrstuvwxyz")
+_PUNCTUATION = frozenset("()[],.;")
+_UNSIZED = _PUNCTUATION - {";"}  # what program_size does not count
 
-# what peek() returns past the last token
-_END = (None, "")
+
+def _kind(token: str) -> str | None:
+    """A token's kind, read from its first character: 'int', 'atom', 'var'
+    or 'neck' (`:-`); punctuation is its own kind, and a bad character has
+    none."""
+    first = token[0]
+    if first in _ATOM_STARTS:
+        return "atom"
+    if "A" <= first <= "Z" or first == "_":
+        return "var"
+    if first.isdecimal():  # \d also matches non-ASCII decimal digits
+        return "int"
+    if token == ":-":
+        return "neck"
+    return token if token in _PUNCTUATION else None
 
 
 def _token_position(source: str, index: int) -> tuple[int, int]:
@@ -129,36 +136,27 @@ def _token_position(source: str, index: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str):
-    """Tokens as (kind, text); comments are dropped."""
-    tokens = []
-    for text in _TOKEN_RE.findall(source):
-        kind = _KINDS.get(text[0])
-        if kind is None:
-            if text[0] == "%":
-                continue
-            if text == ":-":
-                kind = "neck"
-            elif text[0].isdecimal():
-                kind = "int"
-            else:
-                raise TrainFormatError(f"unexpected character {text!r}", *_token_position(source, len(tokens)))
-        tokens.append((kind, text))
+def _tokenize(source: str) -> list[str]:
+    """The tokens' texts; comments are dropped."""
+    tokens = [text for text in _TOKEN_RE.findall(source) if text[0] != "%"]
+    # a text has few distinct tokens; the first bad one is looked for only
+    # when one of them has no kind
+    if None in map(_kind, set(tokens)):
+        index = next(i for i, text in enumerate(tokens) if _kind(text) is None)
+        raise TrainFormatError(f"unexpected character {tokens[index]!r}", *_token_position(source, index))
     return tokens
-
-
-_SIZED_KINDS = frozenset(("neck", ";", "atom", "var", "int"))
 
 
 def program_size(tokens) -> int:
     """Size-complexity of tokenized Prolog text: its count of `:-`, `;`, atom,
-    variable and integer tokens.
+    variable and integer tokens, that is, of the tokens that are not
+    brackets, commas or full stops.
 
     In well-formed text each of these is one clause, operator (`;` or
     `not`), predicate, variable or constant occurrence.  The same count
     scores emitted programs and prices every feature.
     """
-    return sum(tok[0] in _SIZED_KINDS for tok in tokens)
+    return sum(token not in _UNSIZED for token in tokens)
 
 
 class _Compound(tuple):
@@ -182,48 +180,48 @@ class _Parser:
         """The error at the index-th token."""
         return TrainFormatError(message, *_token_position(self.source, index))
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else _END
+    def peek(self) -> str | None:
+        """The next token; None past the last one."""
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self):
+    def next(self) -> str:
         tok = self.peek()
-        if tok is _END:
+        if tok is None:
             raise self.error("unexpected end of input", max(len(self.tokens) - 1, 0))
         self.i += 1
         return tok
 
     def expect(self, kind):
         tok = self.next()
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", self.i - 1)
+        if _kind(tok) != kind:
+            raise self.error(f"expected {kind!r}, found {tok!r}", self.i - 1)
         return tok
 
     def parse_term(self):
         """Ground term: integer, atom, or compound atom(arg, ...)."""
         tok = self.next()
-        if tok[0] == "int":
+        kind = _kind(tok)
+        if kind == "int":
             try:
-                return int(tok[1])
+                return int(tok)
             except ValueError:  # beyond the interpreter's int-conversion limit
-                raise self.error(f"integer of {len(tok[1])} digits is too long", self.i - 1) from None
-        if tok[0] != "atom":
-            raise self.error(f"expected a ground term, found {tok[1]!r}", self.i - 1)
-        if self.peek()[0] == "(":
+                raise self.error(f"integer of {len(tok)} digits is too long", self.i - 1) from None
+        if kind != "atom":
+            raise self.error(f"expected a ground term, found {tok!r}", self.i - 1)
+        if self.peek() == "(":
             self.next()
             args = [self.parse_term()]
-            while self.peek()[0] == ",":
+            while self.peek() == ",":
                 self.next()
                 args.append(self.parse_term())
             self.expect(")")
-            return _Compound((tok[1], tuple(args)))
-        return tok[1]
+            return _Compound((tok, tuple(args)))
+        return tok
 
     def skip_clause(self):
         """Skip tokens up to and including the next clause-terminating '.'."""
-        while True:
-            tok = self.next()
-            if tok[0] == ".":
-                return
+        while self.next() != ".":
+            pass
 
 
 def _car_from_term(term) -> Car:
@@ -240,26 +238,25 @@ def _car_from_term(term) -> Car:
     return Car(*fields, *load[1])
 
 
-# token kinds of a car term whose fields are plain atoms and integers
-_CAR_KINDS = (
-    "atom", "(", "int", ",", "atom", ",", "atom", ",", "atom", ",", "atom", ",", "int", ",",  # c(P, S, L, W, R, A,
-    "atom", "(", "atom", ",", "int", ")", ")",  # l(S, N))
-)
+# the tokens of a car term whose fields are plain atoms and integers, as
+# render_car writes it, and its punctuation at the odd indices 1..19
+_CAR_SHAPE = _tokenize("c(P, S, L, W, R, A, l(S, N))")
+_CAR_PUNCTUATION = _CAR_SHAPE[1::2]
 
 
 def _car_fields(tokens, i):
     """The Car fields of a c/7 term of that shape at token i, read by index;
     None for anything else, which the general term reader then reports."""
-    toks = tokens[i:i + len(_CAR_KINDS)]
-    if len(toks) < len(_CAR_KINDS):
+    toks = tokens[i:i + len(_CAR_SHAPE)]
+    if (len(toks) < len(_CAR_SHAPE) or toks[1::2] != _CAR_PUNCTUATION
+            or toks[0] != "c" or toks[14] != "l" or toks[20] != ")"):
         return None
-    kinds, texts = zip(*toks)
-    if kinds != _CAR_KINDS or texts[0] != "c" or texts[14] != "l":
+    position, shape, length, walls, roof, axles, load_shape, load_count = toks[2:13:2] + toks[16:19:2]
+    if not {shape[0], length[0], walls[0], roof[0], load_shape[0]} <= _ATOM_STARTS:
         return None
-    try:
-        return (int(texts[2]), texts[4], texts[6], texts[8], texts[10], int(texts[12]),
-                texts[16], int(texts[18]))
-    except ValueError:  # an integer beyond the int-conversion limit
+    try:  # int() accepts no other token, nor an integer beyond its conversion limit
+        return int(position), shape, length, walls, roof, int(axles), load_shape, int(load_count)
+    except ValueError:
         return None
 
 
@@ -278,15 +275,15 @@ def parse_trains(source: str) -> list[Train]:
 def _parse_facts(parser: _Parser) -> list[Train]:
     trains: list[Train] = []
     counts = {EAST: 0, WEST: 0}
-    while parser.peek() is not _END:
+    while parser.peek() is not None:
         start = parser.i
         tok = parser.next()
-        if tok[0] == "atom" and tok[1] in ("eastbound", "westbound"):
-            if parser.peek()[0] != "(":
+        if tok in ("eastbound", "westbound"):
+            if parser.peek() != "(":
                 # a bare atom or something else; not a train fact
                 parser.skip_clause()
                 continue
-            label = EAST if tok[1] == "eastbound" else WEST
+            label = EAST if tok == "eastbound" else WEST
             parser.expect("(")
             parser.expect("[")
             cars = []
@@ -296,12 +293,12 @@ def _parse_facts(parser: _Parser) -> list[Train]:
                 if fields is None:
                     term = parser.parse_term()
                 else:
-                    parser.i += len(_CAR_KINDS)
+                    parser.i += len(_CAR_SHAPE)
                 try:
                     cars.append(_car_from_term(term) if fields is None else Car(*fields))
                 except TrainFormatError as exc:
                     raise parser.error(str(exc), term_start) from None
-                if parser.peek()[0] != ",":
+                if parser.peek() != ",":
                     break
                 parser.next()
             parser.expect("]")
@@ -313,7 +310,7 @@ def _parse_facts(parser: _Parser) -> list[Train]:
                 trains.append(Train(train_id, label, tuple(cars)))
             except TrainFormatError as exc:
                 raise parser.error(f"{train_id}: {exc}", start) from None
-        elif tok[0] != ".":
+        elif tok != ".":
             parser.skip_clause()
     return trains
 

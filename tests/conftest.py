@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from eastwest import build_feature_table, evaluate_features, load_trains
 from eastwest.cli import data_path
-from eastwest.features import feature_index
+from eastwest.features import build_feature_table, evaluate_features, feature_index
+from eastwest.trains import load_trains
 from eastwest.tree import EAST, WEST, Leaf, Node
 
 

@@ -97,6 +97,33 @@ MUTANTS = (
         "for n in range(3, n_max + 1):",
         ("tests/test_tree.py::test_entropy_table_matches_float_recipe",),
     ),
+    Mutant(
+        "car-punctuation-tuple",
+        "src/eastwest/trains.py",
+        "_CAR_PUNCTUATION = _CAR_SHAPE[1::2]",
+        "_CAR_PUNCTUATION = tuple(_CAR_SHAPE[1::2])",
+        ("tests/test_trains.py::test_writer_shaped_cars_never_reach_the_term_reader",),
+    ),
+    Mutant(
+        "load-counts-short",
+        "src/eastwest/trains.py",
+        "LOAD_COUNTS = (0, 1, 2, 3)",
+        "LOAD_COUNTS = (0, 1, 2)",
+        (
+            "tests/test_trains.py::test_parse_first_train_fact",
+            "tests/test_trains.py::test_random_trains_stream_is_pinned",
+        ),
+    ),
+    Mutant(
+        "closed-without-arc",
+        "src/eastwest/features.py",
+        '"roof", ("flat", "jagged", "peaked", "arc")',
+        '"roof", ("flat", "jagged", "peaked")',
+        (
+            "tests/test_features.py::test_matrix_matches_brute_force_oracle",
+            "tests/test_features.py::test_predicate_bits_match_the_numpy_vector_and_brute_force",
+        ),
+    ),
 )
 
 
