@@ -123,6 +123,8 @@ class InductionMemo:
     - `splits`: for each example subset, the features whose gain exceeds
       `_GAIN_EPS` there, as small unsigned indices, and their score
       numerators `2**gain - 1`; every pure subset shares one empty entry;
+    - `leaves`: the majority `Leaf` of each example subset, counted over it;
+      leaves are immutable, so every tree grown or pruned to one shares it;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
     - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
       fills it, under the one cost vector and error cost of its run.
@@ -140,6 +142,7 @@ class InductionMemo:
         self.everyone = (1 << matrix.n_trains) - 1
         self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
         self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.leaves: dict[int, Leaf] = {}
         self.bounds: dict[tuple[int, int, float], float] = {}
         self.fitness: dict = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
@@ -168,6 +171,14 @@ class InductionMemo:
             self.splits[s] = found
         return found
 
+    def leaf(self, s: int) -> Leaf:
+        """The majority `Leaf` of the example subset s, built once per subset."""
+        found = self.leaves.get(s)
+        if found is None:
+            n = s.bit_count()
+            found = self.leaves[s] = Leaf(_majority((s & self.east).bit_count(), n), n)
+        return found
+
     def bound(self, errors: int, n: int, cf: float) -> float:
         """`pessimistic_upper_bound(errors, n, cf)`, computed once per key."""
         key = (errors, n, cf)
@@ -189,8 +200,7 @@ def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMem
 def _grow(s, den, memo):
     cand, num = memo.candidates(s)
     if not cand.size:
-        n = s.bit_count()
-        return Leaf(_majority((s & memo.east).bit_count(), n), n)
+        return memo.leaf(s)
     # every candidate's score is finite and positive, so this is the argmax
     # over all features with the non-candidates scored -inf
     best = int(cand[selection_criterion(num, den[cand]).argmax()])
@@ -250,7 +260,7 @@ def _prune(node, cf, s, memo):
     # the majority label errs on the minority
     leaf_est = n * memo.bound(min(pos, n - pos), n, cf)
     if leaf_est < subtree_est:
-        return Leaf(_majority(pos, n), n), leaf_est
+        return memo.leaf(s), leaf_est
     if on_true is node.on_true and on_false is node.on_false:
         return node, subtree_est
     return Node(node.feature, on_true, on_false), subtree_est

@@ -351,3 +351,86 @@ def reference_predicate_vector(train):
             some_car[_CARRIED],
         ]
     )
+
+
+# --- the genetic search, one list of children per generation -----------------
+
+def reference_evolve(matrix, costs, config):
+    """`ga.evolve` as it was before its generation loop wrote the children into
+    a preallocated population: parents drawn with `rng.choice(p=...)`, each
+    child a copy that `_mutate` redraws, the next population built from a list.
+
+    Like `ga.evolve`, it induces and scores every genome with
+    `ga.evaluate_individual` over one memo per run, so it checks only the
+    generation loop and the random stream it reads.
+    """
+    import numpy as np
+
+    from eastwest.ga import (
+        CROSSOVER_RATE, ELITISM_COUNT, MUTATION_RATE, EvolutionResult, GenerationStats,
+        _gene_bounds, _rank_probabilities, evaluate_individual, genome_to_bias,
+    )
+    from eastwest.tree import InductionMemo
+
+    def _crossover(a, b, rng):
+        length = len(a)
+        i, j = sorted(rng.integers(0, length + 1, size=2))
+        child_a, child_b = a.copy(), b.copy()
+        child_a[i:j], child_b[i:j] = b[i:j], a[i:j]
+        return child_a, child_b
+
+    def _mutate(genome, lows, highs, rng):
+        mask = rng.random(len(genome)) < MUTATION_RATE
+        if mask.any():
+            genome = genome.copy()
+            genome[mask] = rng.uniform(lows[mask], highs[mask])
+        return genome
+
+    rng = np.random.default_rng(config.rng_seed)
+    n = matrix.n_features
+    lows, highs = _gene_bounds(n)
+    pop = rng.uniform(lows, highs, size=(config.population_size, n + 2))
+
+    memo = InductionMemo(matrix)
+    best_tree = None
+    best_report = None
+    best_bias = None
+    history = []
+
+    for generation in range(1, config.generations + 1):
+        evals = []
+        for genome in pop:
+            bias = genome_to_bias(genome)
+            evals.append(evaluate_individual(bias, matrix, costs, config, memo))
+        fitnesses = np.array([rep.fitness for _, rep in evals])
+        gen_best = int(np.argmin(fitnesses))
+        gen_tree, gen_report = evals[gen_best]
+        if best_report is None or gen_report.fitness < best_report.fitness:
+            best_tree, best_report = gen_tree, gen_report
+            best_bias = genome_to_bias(pop[gen_best])
+        history.append(
+            GenerationStats(
+                generation=generation,
+                best=float(gen_report.fitness),
+                mean=float(fitnesses.mean()),
+                best_test_cost=gen_report.test_cost,
+                best_errors=gen_report.error_count,
+            )
+        )
+        if generation == config.generations:
+            break
+
+        order = np.argsort(fitnesses, kind="stable")
+        probs = _rank_probabilities(order)
+        next_pop = [pop[i].copy() for i in order[:ELITISM_COUNT]]
+        while len(next_pop) < config.population_size:
+            pa, pb = rng.choice(config.population_size, size=2, p=probs)
+            a, b = pop[pa], pop[pb]
+            if rng.random() < CROSSOVER_RATE:
+                a, b = _crossover(a, b, rng)
+            next_pop.append(_mutate(a, lows, highs, rng))
+            if len(next_pop) < config.population_size:
+                next_pop.append(_mutate(b, lows, highs, rng))
+        pop = np.array(next_pop)
+
+    return EvolutionResult(best_tree, best_report, best_bias, history)

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eastwest.ga
-from eastwest.features import build_feature_table, evaluate_features
+from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features
 from eastwest.ga import (
     CROSSOVER_RATE,
     ELITISM_COUNT,
     MUTATION_RATE,
     GaConfig,
     _gene_bounds,
+    _rank_probabilities,
     evaluate_individual,
     evolve,
     genome_to_bias,
     history_to_csv,
 )
 from eastwest.trains import Car, Train, random_trains
-from eastwest.tree import BiasVector, InductionMemo, fitness, induce_tree, tree_signature
+from eastwest.tree import BiasVector, InductionMemo, Leaf, _majority, fitness, induce_tree, tree_signature
 
-from oracles import reference_induce
+from oracles import reference_evolve, reference_induce
 
 
 def two_car(label, i, roof="none"):
@@ -232,3 +235,85 @@ def test_evolved_trees_match_unmemoized_reference(monkeypatch, matrix20, full_ta
         want = reference_induce(matrix, bias)
         assert tree_signature(tree) == tree_signature(want)
         assert tree == want  # Leaf equality also compares n_examples
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.sampled_from([1, 2, 7, 60, 400]),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_the_list_loop_reference(n_trains, n_features, population_size, generations, seed):
+    """The generation loop reads the random stream the way the list-of-children
+    loop did, so every report comes out the same; odd populations give the
+    lone last child, which draws no mutation for its dropped sibling."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((n_trains, n_features)) < rng.random(n_features)
+    matrix = FeatureMatrix(tuple(f"t{i}" for i in range(n_trains)), values, rng.random(n_trains) < 0.5)
+    costs = rng.integers(1, 30, size=n_features)
+    config = GaConfig(population_size=population_size, generations=generations, rng_seed=seed % 1000)
+    got, want = evolve(matrix, costs, config), reference_evolve(matrix, costs, config)
+    assert history_to_csv(got.history) == history_to_csv(want.history)
+    assert got.best_tree == want.best_tree  # Leaf equality also compares n_examples
+    assert got.best_report == want.best_report
+    assert got.best_bias.weights.tobytes() == want.best_bias.weights.tobytes()
+    assert (got.best_bias.omega, got.best_bias.cf) == (want.best_bias.omega, want.best_bias.cf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.sampled_from(["ranks", "weights", "some zero"]), st.integers(0, 2**32 - 1))
+def test_parent_draw_from_a_cdf_equals_generator_choice(n, kind, seed):
+    """`evolve` draws each pair of parents as numpy's `Generator.choice(p=...)`
+    does inside: this guards that numpy internal, index for index and for the
+    stream position after the draws."""
+    rng = np.random.default_rng(seed)
+    if kind == "ranks":
+        p = _rank_probabilities(rng.permutation(n))
+    else:
+        weights = rng.random(n)
+        if kind == "some zero":
+            weights[rng.random(n) < 0.3] = 0.0
+        weights[rng.integers(n)] += 1.0  # at least one positive weight
+        p = weights / weights.sum()
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(25):
+        assert cdf.searchsorted(ours.random(2), side="right").tolist() == numpys.choice(n, size=2, p=p).tolist()
+    assert ours.random() == numpys.random()
+
+
+def _leaves(tree):
+    if isinstance(tree, Leaf):
+        return [tree]
+    return _leaves(tree.on_true) + _leaves(tree.on_false)
+
+
+def test_leaves_are_shared_per_example_subset(monkeypatch, matrix20, full_table, costs20):
+    """After a run every memoized leaf is the majority leaf of its subset,
+    counted over the matrix's rows, and every induced tree's leaves are those
+    shared objects."""
+    evaluate = eastwest.ga.evaluate_individual
+    calls = []  # (memo, tree) of every evaluation
+
+    def recording(bias, matrix, costs, config, memo):
+        tree, report = evaluate(bias, matrix, costs, config, memo)
+        calls.append((memo, tree))
+        return tree, report
+
+    monkeypatch.setattr(eastwest.ga, "evaluate_individual", recording)
+    random60 = evaluate_features(random_trains(60, 3), full_table)
+    for matrix in (matrix20, random60):
+        start = len(calls)
+        evolve(matrix, costs20, small_config(population_size=9, generations=3, rng_seed=2))
+        memo = calls[start][0]
+        assert memo.leaves
+        for s, leaf in memo.leaves.items():
+            rows = [i for i in range(matrix.n_trains) if s >> i & 1]
+            n, pos = len(rows), int(matrix.labels[rows].sum())
+            assert leaf == Leaf(_majority(pos, n), n)
+            assert memo.leaf(s) is leaf
+        shared = {id(leaf) for leaf in memo.leaves.values()}
+        assert all(id(leaf) in shared for _, tree in calls[start:] for leaf in _leaves(tree))

@@ -1,4 +1,4 @@
-"""Mutation checks: each mutant breaks one line of the package, and the tests
+"""Mutation checks: each mutant breaks one spot of the package, and the tests
 named with it must then fail.
 
 Run from anywhere, with numpy, scipy, pytest and hypothesis installed:
@@ -122,6 +122,49 @@ MUTANTS = (
         (
             "tests/test_features.py::test_matrix_matches_brute_force_oracle",
             "tests/test_features.py::test_predicate_bits_match_the_numpy_vector_and_brute_force",
+        ),
+    ),
+    Mutant(
+        "mutation-rate-doubled",
+        "src/eastwest/ga.py",
+        "rng.random(length) < MUTATION_RATE",
+        "rng.random(length) < 2 * MUTATION_RATE",
+        (
+            "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
+            "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
+        ),
+    ),
+    Mutant(
+        "elite-from-the-worst-end",
+        "src/eastwest/ga.py",
+        "pop[order[:ELITISM_COUNT]]",
+        "pop[order[-ELITISM_COUNT:]]",
+        (
+            "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
+            "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
+        ),
+    ),
+    Mutant(
+        "lone-child-mutates-its-sibling",
+        "src/eastwest/ga.py",
+        "for child in pair[: size - k]:",
+        "for child in pair:",
+        (
+            "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
+            "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
+        ),
+    ),
+    Mutant(
+        "leaf-memo-keyed-by-size",
+        "src/eastwest/tree.py",
+        "found = self.leaves.get(s)\n        if found is None:\n            n = s.bit_count()\n"
+        "            found = self.leaves[s] =",
+        "n = s.bit_count()\n        found = self.leaves.get(n)\n        if found is None:\n"
+        "            found = self.leaves[n] =",
+        (
+            "tests/test_ga.py::test_leaves_are_shared_per_example_subset",
+            "tests/test_ga.py::test_evolved_trees_match_unmemoized_reference",
+            "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
         ),
     ),
 )
