@@ -54,6 +54,10 @@ def _write_text(path: Path, text: str, mkdir: bool = False) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _load_table(spec: str):
     if spec in ("full", "unary-train", "unary_train"):
         return features.build_feature_table("unary_train" if spec != "full" else "full")
@@ -76,7 +80,8 @@ def _load_dataset(path: str):
     return loaded
 
 
-def _run_one(data_file: str, args) -> dict:
+def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
+    """The run's report, and the text of each file `--emit-dir` writes, by name."""
     try:
         config = ga.GaConfig(
             population_size=args.pop_size,
@@ -130,12 +135,14 @@ def _run_one(data_file: str, args) -> dict:
         "program": simplified.rendered,
         "complexity": simplified.complexity,
     }
-    return {
-        "report": report,
-        "table": table,
-        "result": result,
-        "theory": simplified,
-    }
+    artifacts = {"report.json": _json(report)}
+    if args.format == "text":
+        artifacts["report.txt"] = _report_text(report)
+    artifacts["tree.json"] = tree_mod.tree_to_json(result.best_tree, table)
+    artifacts["history.csv"] = ga.history_to_csv(result.history)
+    artifacts["program.pl"] = report["program"]
+    artifacts["theory.json"] = theory_mod.theory_to_json(simplified, table)
+    return report, artifacts
 
 
 def _report_text(report: dict) -> str:
@@ -161,52 +168,36 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(outdir: Path, bundle: dict, fmt: str):
-    table = bundle["table"]
-    result = bundle["result"]
-    report = bundle["report"]
-    _write_text(outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n", mkdir=True)
-    if fmt == "text":
-        _write_text(outdir / "report.txt", _report_text(report))
-    _write_text(outdir / "tree.json", tree_mod.tree_to_json(result.best_tree, table))
-    _write_text(outdir / "history.csv", ga.history_to_csv(result.history))
-    _write_text(outdir / "program.pl", report["program"])
-    _write_text(outdir / "theory.json", theory_mod.theory_to_json(bundle["theory"], table))
+def _emit(outdir: Path, artifacts: dict[str, str]) -> None:
+    for name, text in artifacts.items():
+        _write_text(outdir / name, text, mkdir=True)
 
 
 def cmd_induce(args) -> int:
-    bundle = _run_one(args.data, args)
-    report = bundle["report"]
+    report, artifacts = _run_one(args.data, args)
     if args.emit_dir:
-        _emit(Path(args.emit_dir), bundle, args.format)
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_report_text(report), end="")
+        _emit(Path(args.emit_dir), artifacts)
+    print(artifacts["report.json" if args.format == "json" else "report.txt"], end="")
     return 0 if report["best"]["error_count"] == 0 else 1
 
+
 def cmd_multi(args) -> int:
-    bundles = []
+    reports = []
     for i, data_file in enumerate(args.data, start=1):
-        bundle = _run_one(data_file, args)
+        report, artifacts = _run_one(data_file, args)
         if args.emit_dir:
-            _emit(Path(args.emit_dir) / f"dataset{i}", bundle, args.format)
-        bundles.append(bundle)
-    total = sum(b["report"]["complexity"] for b in bundles)
-    errors = sum(b["report"]["best"]["error_count"] for b in bundles)
-    summary = {
-        "datasets": [b["report"] for b in bundles],
-        "total_complexity": total,
-        "total_errors": errors,
-    }
+            _emit(Path(args.emit_dir) / f"dataset{i}", artifacts)
+        reports.append(report)
+    total = sum(r["complexity"] for r in reports)
+    errors = sum(r["best"]["error_count"] for r in reports)
+    summary = {"datasets": reports, "total_complexity": total, "total_errors": errors}
     if args.emit_dir:
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        _write_text(Path(args.emit_dir) / "summary.json", text)
+        _write_text(Path(args.emit_dir) / "summary.json", _json(summary))
     if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(_json(summary), end="")
     else:
-        for b in bundles:
-            print(_report_text(b["report"]), end="")
+        for report in reports:
+            print(_report_text(report), end="")
             print("-" * 40)
         print(f"total complexity: {total}")
         print(f"total errors: {errors}")

@@ -46,6 +46,9 @@ class GaConfig:
     error_cost: float = ERROR_COST
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "rng_seed"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.generations < 1:

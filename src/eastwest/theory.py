@@ -187,14 +187,8 @@ class _ProgParser(_Parser):
         self.expect(".")
 
     def parse_body(self):
-        self.parse_conjunction()
-        while self.peek() == ";":
-            self.next()
-            self.parse_conjunction()
-
-    def parse_conjunction(self):
         self.parse_primary()
-        while self.peek() == ",":
+        while self.peek() in (",", ";"):
             self.next()
             self.parse_primary()
 
@@ -263,18 +257,23 @@ def agreement(a: Theory, b: Theory, trains: Sequence[Train], table: Sequence[Fea
 
 # --- JSON interchange ------------------------------------------------------
 
-def theory_to_dict(theory: Theory, table: Sequence[FeatureSpec]) -> dict:
-    return {
+def theory_to_json(theory: Theory, table: Sequence[FeatureSpec]) -> str:
+    data = {
         "dnf": [[[table[f].name, v] for f, v in conj] for conj in theory.dnf],
         "program": theory.rendered,
         "complexity": theory.complexity,
     }
+    return json.dumps(data, indent=2) + "\n"
 
 
-def theory_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Theory:
-    """Raises ValueError for data that is not an object with a `dnf` key, a
-    literal value other than the int 0 or 1, or a `program` or `complexity`
-    of the wrong type; KeyError for an unknown feature name."""
+def theory_from_json(text: str, table: Sequence[FeatureSpec]) -> Theory:
+    """Raises ValueError for text that is not JSON of an object with a `dnf`
+    key, a literal value other than the int 0 or 1, or a `program` or
+    `complexity` of the wrong type; KeyError for an unknown feature name."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON is nested too deeply") from None
     if not isinstance(data, dict) or "dnf" not in data:
         raise ValueError("a theory must be an object with a 'dnf' key")
     by_name = {s.name: s.index for s in table}
@@ -291,15 +290,3 @@ def theory_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Theory:
     if type(score) is not int:
         raise ValueError(f"complexity must be an integer, got {type(score).__name__}")
     return Theory(dnf=dnf, rendered=program, complexity=score)
-
-
-def theory_to_json(theory: Theory, table: Sequence[FeatureSpec]) -> str:
-    return json.dumps(theory_to_dict(theory, table), indent=2) + "\n"
-
-
-def theory_from_json(text: str, table: Sequence[FeatureSpec]) -> Theory:
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError("the JSON is nested too deeply") from None
-    return theory_from_dict(data, table)

@@ -317,6 +317,8 @@ def fitness(
     error_cost: float = ERROR_COST,
 ) -> FitnessReport:
     """Score a tree: static test cost plus error_rate * error_cost."""
+    if np.shape(costs) != (matrix.n_features,):
+        raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
     predictions = predict_all(tree, matrix)
     errors = int((predictions != matrix.labels).sum())
     rate = errors / matrix.n_trains if matrix.n_trains else 0.0

@@ -172,6 +172,29 @@ def test_multi_text_report(capsys):
     assert totals == f"total complexity: {complexity}\ntotal errors: {errors}\n"
 
 
+def test_induce_json_prints_the_report_json_it_writes(capsys, tmp_path):
+    outdir = tmp_path / "run"
+    _, out, _ = run(capsys, ["induce", "--data", TRAINS20, "--format", "json", "--emit-dir", str(outdir)] + FAST)
+    assert out.encode() == (outdir / "report.json").read_bytes()
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(set(ARTIFACTS) - {"report.txt"})
+
+
+def test_multi_writes_each_dataset_as_induce_does_alone(capsys, tmp_path):
+    run(capsys, ["multi", "--data", TRAINS10, "--data", TRAINS20, "--emit-dir", str(tmp_path / "multi")] + FAST)
+    for i, data in enumerate((TRAINS10, TRAINS20), start=1):
+        alone = tmp_path / f"alone{i}"
+        run(capsys, ["induce", "--data", data, "--emit-dir", str(alone)] + FAST)
+        for name in ARTIFACTS:
+            assert (tmp_path / "multi" / f"dataset{i}" / name).read_bytes() == (alone / name).read_bytes(), name
+        assert len(list((tmp_path / "multi" / f"dataset{i}").iterdir())) == len(ARTIFACTS)
+
+
+def test_multi_summary_json_is_the_printed_json(capsys, tmp_path):
+    argv = ["multi", "--data", TRAINS10, "--data", TRAINS20, "--format", "json", "--emit-dir", str(tmp_path)]
+    _, out, _ = run(capsys, argv + FAST)
+    assert out.encode() == (tmp_path / "summary.json").read_bytes()
+
+
 def test_agree_command(capsys, tmp_path):
     table = build_feature_table("full")
     a = finalize(Theory(dnf=(((feature_index(table, "train_2"), 1),),)), table)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,13 +80,19 @@ def test_config_defaults():
         dict(error_cost=float("nan")),
         dict(error_cost=float("inf")),
         dict(rng_seed=-1),
+        dict(population_size=2.5),
+        dict(generations=1.5),
+        dict(rng_seed=1.0),
+        dict(population_size=True),
+        dict(generations="3"),
     ],
     # Stable case names: kw2-kw4 checked the crossover, mutation and elitism
     # settings, which are module constants now and no longer validated.
-    ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8"],
+    ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8",
+         "float-population", "float-generations", "float-seed", "bool-population", "str-generations"],
 )
 def test_config_validation(kw):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kw))):
         GaConfig(**kw)
 
 
@@ -180,6 +189,34 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
     report = fitness(tree, matrix, costs)
     assert tree_signature(tree) == tree_signature(result.best_tree)
     assert report.fitness == result.best_report.fitness
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_evolve_rejects_costs_of_another_length(easy_problem, extra):
+    matrix, costs = easy_problem
+    with pytest.raises(ValueError, match="costs"):
+        evolve(matrix, np.resize(costs, matrix.n_features + extra), small_config())
+
+
+def test_evolve_frees_its_memo_without_the_cycle_collector(easy_problem, monkeypatch):
+    # a memo kept alive by a reference cycle would hold its split and leaf
+    # tables until the next collection, past the end of the run
+    memos = []
+
+    class RecordedMemo(InductionMemo):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            memos.append(weakref.ref(self))
+
+    monkeypatch.setattr(eastwest.ga, "InductionMemo", RecordedMemo)
+    matrix, costs = easy_problem
+    gc.disable()
+    try:
+        evolve(matrix, costs, small_config())
+        assert len(memos) == 1
+        assert memos[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_evaluate_individual_uses_cache(easy_problem):

@@ -17,7 +17,6 @@ from eastwest.theory import (
     finalize,
     render_program,
     simplify_dnf,
-    theory_from_dict,
     theory_from_json,
     theory_to_json,
     tree_to_dnf,
@@ -376,12 +375,12 @@ def test_theory_json_round_trip(reference_tree, matrix20, full_table):
 )
 def test_theory_from_dict_rejects_wrong_types(full_table, data):
     with pytest.raises(ValueError):
-        theory_from_dict(data, full_table)
+        theory_from_json(json.dumps(data), full_table)
 
 
 def test_theory_from_dict_names_an_unknown_feature(full_table):
     with pytest.raises(KeyError) as exc:
-        theory_from_dict({"dnf": [[["train_2", 1], ["nope", 0]]]}, full_table)
+        theory_from_json(json.dumps({"dnf": [[["train_2", 1], ["nope", 0]]]}), full_table)
     assert exc.value.args == ("nope",)
 
 

@@ -694,6 +694,14 @@ def test_error_cost_parameter_scales_errors():
     assert report.fitness == pytest.approx(25.0)
 
 
+@pytest.mark.parametrize(
+    "costs", [np.zeros(1198), np.zeros(1200), np.zeros((1199, 1)), 5.0], ids=["short", "long", "column", "scalar"]
+)
+def test_fitness_rejects_costs_of_another_table(matrix20, reference_tree, costs):
+    with pytest.raises(ValueError, match="costs"):
+        fitness(reference_tree, matrix20, costs)
+
+
 # --- serialization ----------------------------------------------------------
 
 def test_tree_dict_round_trip(reference_tree, full_table):

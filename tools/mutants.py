@@ -167,6 +167,55 @@ MUTANTS = (
             "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
         ),
     ),
+    Mutant(
+        "memo-holds-itself",
+        "src/eastwest/tree.py",
+        "self.leaves: dict[int, Leaf] = {}",
+        "self.leaves: dict[int, Leaf] = {}\n        self.leaf_of = self.leaf",
+        ("tests/test_ga.py::test_evolve_frees_its_memo_without_the_cycle_collector",),
+    ),
+    Mutant(
+        "theory-literal-admits-bool",
+        "src/eastwest/theory.py",
+        "type(value) is not int",
+        "not isinstance(value, int)",
+        ("tests/test_theory.py::test_theory_from_dict_rejects_wrong_types[bool-literal]",),
+    ),
+    Mutant(
+        "body-without-disjunction",
+        "src/eastwest/theory.py",
+        'while self.peek() in (",", ";"):',
+        'while self.peek() in (",",):',
+        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+    ),
+    Mutant(
+        "hoisted-feature-keeps-its-scaffold",
+        "src/eastwest/theory.py",
+        "t.format(car_var) for t in spec.fragment[1:]",
+        "t.format(car_var) for t in spec.fragment",
+        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+    ),
+    Mutant(
+        "second-infront-literal-on-the-first-car",
+        "src/eastwest/features.py",
+        "(INFRONT_TEMPLATE, first[i], second[j])",
+        "(INFRONT_TEMPLATE, first[i], first[j])",
+        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+    ),
+    Mutant(
+        "always-two-fresh-cars",
+        "src/eastwest/theory.py",
+        'range(spec.fragment[0].count("{"))',
+        "range(2)",
+        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+    ),
+    Mutant(
+        "report-txt-in-every-format",
+        "src/eastwest/cli.py",
+        '    if args.format == "text":\n        artifacts["report.txt"]',
+        '    if True:\n        artifacts["report.txt"]',
+        ("tests/test_cli.py::test_induce_json_prints_the_report_json_it_writes",),
+    ),
 )
 
 
