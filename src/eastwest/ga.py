@@ -14,13 +14,16 @@ rank probabilities), one for crossover and, when it crosses, two cut points,
 then for each child one uniform per gene, redrawing the genes under the
 mutation rate.  On the full feature table that is 1201 uniforms per child
 to mutate about 1.2 genes, but drawing the mutated positions another way
-would change every report.
+would change every report.  A gene is redrawn as
+`low + (high - low) * rng.random()`, the doubles and the arithmetic of
+`Generator.uniform(low, high)`.
 The lone last child of an odd population draws nothing for its sibling.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,7 +32,7 @@ import numpy as np
 from .features import FeatureMatrix
 from .tree import (
     BiasVector, FitnessReport, InductionMemo, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, OMEGA_MIN, OMEGA_MAX,
-    fitness, induce_tree, tree_signature,
+    fitness, induce_tree,
 )
 
 
@@ -55,6 +58,8 @@ class GaConfig:
             raise ValueError("generations must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
+        if isinstance(value := self.error_cost, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"error_cost must be a real number, got {value!r}")
         if not (math.isfinite(self.error_cost) and self.error_cost >= 0):
             raise ValueError("error_cost must be finite and >= 0")
 
@@ -95,15 +100,15 @@ def evaluate_individual(
 ) -> tuple[Tree, FitnessReport]:
     """Induce and score the tree for one bias vector.
 
-    Trees of one signature share one report in `memo`, so the memo must not
-    outlive the costs and error cost it was filled under.
+    The memo builds one object per tree signature, and keeps one report per
+    tree object, so the memo must not outlive the costs and error cost it
+    was filled under.
     """
     tree = induce_tree(matrix, bias, memo)
-    key = tree_signature(tree)
-    report = memo.fitness.get(key)
-    if report is None:
-        report = memo.fitness[key] = fitness(tree, matrix, costs, error_cost=config.error_cost)
-    return tree, report
+    found = memo.fitness.get(id(tree))
+    if found is None:  # the entry holds the tree, so no other tree takes its id
+        found = memo.fitness[id(tree)] = (tree, fitness(tree, matrix, costs, error_cost=config.error_cost))
+    return tree, found[1]
 
 
 def _rank_probabilities(order: np.ndarray) -> np.ndarray:
@@ -129,6 +134,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
     history: list[GenerationStats] = []
 
     for generation in range(1, config.generations + 1):
+        memo.next_generation()
         evals = []
         for genome in pop:
             bias = genome_to_bias(genome)
@@ -163,8 +169,9 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
                 pair[:, i:j] = pair[::-1, i:j]
             for child in pair[: size - k]:  # an odd population's lone last child mutates alone
                 [idx] = (rng.random(length) < MUTATION_RATE).nonzero()
-                if idx.size:  # uniform over no genes draws no number, but costs a call
-                    child[idx] = rng.uniform(lows[idx], highs[idx])
+                if idx.size:  # redraw as rng.uniform(low, highs[idx]) would, without its checks
+                    low = lows[idx]
+                    child[idx] = low + (highs[idx] - low) * rng.random(idx.size)
             next_pop[k : k + 2] = pair[: size - k]
         pop = next_pop
 

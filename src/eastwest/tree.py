@@ -48,13 +48,13 @@ class BiasVector:
             raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: str
     n_examples: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     feature: int
     on_true: "Tree"
@@ -111,7 +111,9 @@ class InductionMemo:
     """Work that the trees induced over one matrix in one evolve run share.
 
     An example subset is an int bitset, bit i standing for matrix row i.
-    Each entry depends on its key alone, never on the genome being induced:
+    Each entry depends on its key alone, never on the genome being induced.
+    A tree object is a key only while its entry holds the tree, so its `id`
+    cannot be reused:
     - `east`, `cols`, `everyone`: the east rows, each feature's true rows and
       all rows of the matrix;
     - `words`: the matrix's columns packed into 64-bit words, shape
@@ -122,11 +124,19 @@ class InductionMemo:
       impure subset `candidates` meets, so pruning alone never builds it;
     - `splits`: for each example subset, the features whose gain exceeds
       `_GAIN_EPS` there, as small unsigned indices, and their score
-      numerators `2**gain - 1`; every pure subset shares one empty entry;
+      numerators `2**gain - 1`; every pure subset shares one empty entry.
+      Only the entries read in this generation or the previous one are
+      kept (`next_generation`); a dropped entry is recomputed, to the bit,
+      if it is needed again;
     - `leaves`: the majority `Leaf` of each example subset, counted over it;
       leaves are immutable, so every tree grown or pruned to one shares it;
+    - `nodes`: the one `Node` of each feature over two child objects, so
+      that, with the shared leaves, two trees `_grow` and `_prune` build
+      from the root subset are equal in signature only if they are the same
+      object;
+    - `pruned`: `prune`'s result for each tree object and cf;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
-    - `fitness`: the `FitnessReport` of each tree signature; `ga.evaluate_individual`
+    - `fitness`: the `FitnessReport` of each tree object; `ga.evaluate_individual`
       fills it, under the one cost vector and error cost of its run.
     """
 
@@ -141,10 +151,13 @@ class InductionMemo:
         self.east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
         self.everyone = (1 << matrix.n_trains) - 1
         self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
-        self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # read this generation
+        self._last_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # read only the one before
         self.leaves: dict[int, Leaf] = {}
+        self.nodes: dict[tuple[int, int, int], Node] = {}
+        self.pruned: dict[tuple[int, float], tuple[Tree, Tree]] = {}
         self.bounds: dict[tuple[int, int, float], float] = {}
-        self.fitness: dict = {}
+        self.fitness: dict[int, tuple[Tree, FitnessReport]] = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
         self._count = np.min_scalar_type(matrix.n_trains)  # exact, and the narrowest sum is the fastest
         self._no_split = (np.empty(0, dtype=self._index), np.empty(0))
@@ -152,6 +165,8 @@ class InductionMemo:
     def candidates(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """(features with gain > _GAIN_EPS over the example subset s, their 2**gain - 1)."""
         found = self.splits.get(s)
+        if found is None:
+            found = self._last_splits.pop(s, None)
         if found is None:
             m = s.bit_count()
             s_east = s & self.east
@@ -168,8 +183,12 @@ class InductionMemo:
                 found = (cand.astype(self._index), np.power(2.0, gains[cand]) - 1.0)
             else:  # a pure subset has no gain
                 found = self._no_split
-            self.splits[s] = found
+        self.splits[s] = found
         return found
+
+    def next_generation(self) -> None:
+        """Start a generation: drop the split entries not read in the one that ends."""
+        self._last_splits, self.splits = self.splits, {}
 
     def leaf(self, s: int) -> Leaf:
         """The majority `Leaf` of the example subset s, built once per subset."""
@@ -177,6 +196,14 @@ class InductionMemo:
         if found is None:
             n = s.bit_count()
             found = self.leaves[s] = Leaf(_majority((s & self.east).bit_count(), n), n)
+        return found
+
+    def node(self, feature: int, on_true: Tree, on_false: Tree) -> Node:
+        """The `Node` testing `feature` over these two child objects, built once."""
+        key = (feature, id(on_true), id(on_false))  # the entry's node holds both children
+        found = self.nodes.get(key)
+        if found is None:
+            found = self.nodes[key] = Node(feature, on_true, on_false)
         return found
 
     def bound(self, errors: int, n: int, cf: float) -> float:
@@ -205,7 +232,7 @@ def _grow(s, den, memo):
     # over all features with the non-candidates scored -inf
     best = int(cand[selection_criterion(num, den[cand]).argmax()])
     t = s & memo.cols[best]
-    return Node(best, _grow(t, den, memo), _grow(s ^ t, den, memo))
+    return memo.node(best, _grow(t, den, memo), _grow(s ^ t, den, memo))
 
 
 def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | None = None) -> Tree:
@@ -246,7 +273,8 @@ def pessimistic_upper_bound(errors: int, n: int, cf: float) -> float:
 
 def _prune(node, cf, s, memo):
     """Returns (pruned subtree, pessimistic error estimate over the example subset s);
-    a subtree whose counts and children come out unchanged is returned as is."""
+    nodes come from the memo's table, so a subtree of that table whose counts
+    and children come out unchanged is returned as is."""
     n = s.bit_count()
     pos = (s & memo.east).bit_count()
     if isinstance(node, Leaf):
@@ -261,17 +289,20 @@ def _prune(node, cf, s, memo):
     leaf_est = n * memo.bound(min(pos, n - pos), n, cf)
     if leaf_est < subtree_est:
         return memo.leaf(s), leaf_est
-    if on_true is node.on_true and on_false is node.on_false:
-        return node, subtree_est
-    return Node(node.feature, on_true, on_false), subtree_est
+    return memo.node(node.feature, on_true, on_false), subtree_est
 
 
 def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | None = None) -> Tree:
-    """Pessimistic leaf-replacement pruning at confidence level cf (percent)."""
+    """Pessimistic leaf-replacement pruning at confidence level cf (percent);
+    the result is computed once per tree object and cf in the memo."""
     if not CF_MIN <= cf <= CF_MAX:
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
     memo = _memo_for(matrix, memo)
-    return _prune(tree, cf, memo.everyone, memo)[0]
+    key = (id(tree), cf)
+    found = memo.pruned.get(key)
+    if found is None:
+        found = memo.pruned[key] = (tree, _prune(tree, cf, memo.everyone, memo)[0])
+    return found[1]
 
 
 def _predict(node, values, idx, out):

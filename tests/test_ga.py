@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -85,11 +86,15 @@ def test_config_defaults():
         dict(rng_seed=1.0),
         dict(population_size=True),
         dict(generations="3"),
+        dict(error_cost="x"),
+        dict(error_cost=None),
+        dict(error_cost=True),
     ],
     # Stable case names: kw2-kw4 checked the crossover, mutation and elitism
     # settings, which are module constants now and no longer validated.
     ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8",
-         "float-population", "float-generations", "float-seed", "bool-population", "str-generations"],
+         "float-population", "float-generations", "float-seed", "bool-population", "str-generations",
+         "str-error-cost", "none-error-cost", "bool-error-cost"],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
@@ -299,6 +304,22 @@ def test_evolve_matches_the_list_loop_reference(n_trains, n_features, population
     assert (got.best_bias.omega, got.best_bias.cf) == (want.best_bias.omega, want.best_bias.cf)
 
 
+@pytest.mark.parametrize("rate", [0.2, 1.0])
+def test_evolve_redraws_genes_as_the_reference_at_high_mutation_rates(monkeypatch, easy_problem, rate):
+    """At the real rate a run mutates about one gene per child and seldom the
+    cf gene, the one whose lower bound is not 0; at these rates every run
+    redraws it many times, through `evolve`'s arithmetic and through the
+    reference's `rng.uniform`."""
+    monkeypatch.setattr(eastwest.ga, "MUTATION_RATE", rate)  # both loops read it at call time
+    matrix, costs = easy_problem
+    for seed in range(3):
+        config = small_config(population_size=7, generations=4, rng_seed=seed)
+        got, want = evolve(matrix, costs, config), reference_evolve(matrix, costs, config)
+        assert history_to_csv(got.history) == history_to_csv(want.history)
+        assert got.best_bias.weights.tobytes() == want.best_bias.weights.tobytes()
+        assert (got.best_bias.omega, got.best_bias.cf) == (want.best_bias.omega, want.best_bias.cf)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.sampled_from(["ranks", "weights", "some zero"]), st.integers(0, 2**32 - 1))
 def test_parent_draw_from_a_cdf_equals_generator_choice(n, kind, seed):
@@ -320,6 +341,42 @@ def test_parent_draw_from_a_cdf_equals_generator_choice(n, kind, seed):
     for _ in range(25):
         assert cdf.searchsorted(ours.random(2), side="right").tolist() == numpys.choice(n, size=2, p=p).tolist()
     assert ours.random() == numpys.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["genes", "random"]), st.integers(0, 2**32 - 1))
+def test_gene_redraw_equals_generator_uniform(size, kind, seed):
+    """`evolve` redraws mutated genes as `low + (high - low) * rng.random(size)`,
+    which is how numpy's `Generator.uniform` computes them: this guards that
+    numpy internal, bit for bit and for the stream position after the draws."""
+    rng = np.random.default_rng(seed)
+    if kind == "genes":  # the GA's own bounds, always with the cf gene's [1, 100]
+        lows, highs = _gene_bounds(6)
+        idx = np.sort(np.append(rng.choice(7, size - 1, replace=False), 7))
+        low, high = lows[idx], highs[idx]
+    else:
+        low = rng.uniform(-1e3, 1e3, size)
+        high = low + rng.random(size) * 10.0 ** rng.integers(-3, 6, size)
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(10):
+        got = low + (high - low) * ours.random(size)
+        assert got.tobytes() == numpys.uniform(low, high).tobytes()
+    assert ours.random() == numpys.random()
+
+
+def test_evolve_peak_memory_on_300_trains(full_table, costs20):
+    """Split entries unread for a generation are dropped, so the memo does not
+    grow with the generations: about 21 MiB, where keeping every entry for the
+    whole run peaked at 27 MiB."""
+    matrix = evaluate_features(random_trains(300, 0), full_table)
+    evolve(matrix, costs20, small_config(population_size=2, generations=1))  # imports scipy.special
+    tracemalloc.start()
+    try:
+        evolve(matrix, costs20, small_config(population_size=20, generations=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def _leaves(tree):

@@ -232,6 +232,40 @@ def test_induce_matches_reference_across_word_boundaries(n):
         assert induce_tree(m, bias, memo) == reference_induce(m, bias)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_trees_of_one_signature_are_one_object_within_a_memo(n, n_features, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, n_features)) < rng.random(n_features)
+    # each feature has a twin that splits every subset the same way, so two
+    # genomes can build nodes over the same children that differ in feature only
+    m = make_matrix(np.concatenate([values, values], axis=1), rng.random(n) < 0.5)
+    memo = InductionMemo(m)
+    trees = []
+    for _ in range(12):
+        weights = rng.uniform(0, rng.choice([1.0, B_MAX]), 2 * n_features)
+        bias = BiasVector(weights, float(rng.uniform(0, 1)), float(rng.choice([1.0, 25.0, 75.0, 100.0])))
+        trees.append(induce_tree(m, bias, memo))
+        assert trees[-1] == reference_induce(m, bias)  # Leaf equality also compares n_examples
+    for a in trees:
+        for b in trees:
+            assert (tree_signature(a) == tree_signature(b)) == (a is b)
+
+
+def test_next_generation_keeps_the_split_entries_read_in_the_last_two():
+    m = make_matrix([[1, 0], [0, 1], [1, 1], [0, 0]], [1, 0, 0, 1])
+    memo = InductionMemo(m)
+    a, b = memo.candidates(0b0111), memo.candidates(0b1110)  # two impure subsets
+    assert a[0].size and b[0].size
+    memo.next_generation()
+    assert memo.candidates(0b1110) is b  # read in the second generation
+    memo.next_generation()
+    assert memo.candidates(0b1110) is b
+    again = memo.candidates(0b0111)  # unread for a whole generation: dropped
+    assert again is not a
+    assert [x.tobytes() for x in again] == [x.tobytes() for x in a]  # and recomputed to the bit
+
+
 # --- selection criterion ----------------------------------------------------
 
 def root_scores(gains, weights, omega):
@@ -590,6 +624,33 @@ def test_prune_of_random_trees_matches_reference(matrix_and_tree, cf):
     want, _ = reference_prune(tree, cf, m, np.arange(m.n_trains))
     assert prune(tree, cf, m) == want  # Leaf equality also compares n_examples
     assert prune(tree, cf, m, InductionMemo(m)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_and_trees(), st.lists(st.sampled_from([1.0, 10.0, 25.0, 50.0, 90.0, 100.0]), min_size=2))
+def test_prune_with_a_shared_memo_equals_a_fresh_memo(matrix_and_tree, cfs):
+    m, tree = matrix_and_tree  # leaf counts are arbitrary, so mostly stale
+    shared = InductionMemo(m)
+    induce_tree(m, grow_only_bias(m.n_features), shared)  # the memo also holds a grown tree
+    for cf in cfs:
+        assert prune(tree, cf, m, shared) == prune(tree, cf, m, InductionMemo(m))
+
+
+def test_prune_caches_per_tree_and_cf_not_per_node():
+    # one Node object sits at two subsets: it splits the east rows usefully
+    # and the west rows not at all, so its two pruned copies differ
+    m = make_matrix([[1, 1], [1, 1], [1, 0], [1, 0], [0, 1], [0, 0]], [1, 1, 0, 0, 0, 0])
+    twice = Node(1, Leaf(EAST, 9), Leaf(WEST, 9))
+    tree = Node(0, twice, twice)
+    memo = InductionMemo(m)
+    pruned = {}
+    for cf in (1.0, 25.0, 100.0, 25.0, 1.0):
+        pruned[cf] = prune(tree, cf, m, memo)
+        want, _ = reference_prune(tree, cf, m, np.arange(m.n_trains))
+        assert pruned[cf] == want == prune(tree, cf, m, InductionMemo(m))
+        assert prune(tree, cf, m, memo) is pruned[cf]
+    assert pruned[1.0] != pruned[100.0]  # cf changes this tree's pruning
+    assert pruned[100.0] == Node(0, Node(1, Leaf(EAST, 2), Leaf(WEST, 2)), Leaf(WEST, 2))
 
 
 def test_entropy_table_waits_for_the_first_impure_split():

@@ -210,6 +210,40 @@ MUTANTS = (
         ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
     ),
     Mutant(
+        "prune-cache-without-cf",
+        "src/eastwest/tree.py",
+        "key = (id(tree), cf)",
+        "key = id(tree)",
+        (
+            "tests/test_tree.py::test_prune_caches_per_tree_and_cf_not_per_node",
+            "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
+        ),
+    ),
+    Mutant(
+        "node-table-without-feature",
+        "src/eastwest/tree.py",
+        "key = (feature, id(on_true), id(on_false))",
+        "key = (id(on_true), id(on_false))",
+        (
+            "tests/test_tree.py::test_trees_of_one_signature_are_one_object_within_a_memo",
+            "tests/test_ga.py::test_evolved_trees_match_unmemoized_reference",
+        ),
+    ),
+    Mutant(
+        "next-generation-keeps-the-older-splits",
+        "src/eastwest/tree.py",
+        "self._last_splits, self.splits = self.splits, {}",
+        "self._last_splits, self.splits = self._last_splits, {}",
+        ("tests/test_tree.py::test_next_generation_keeps_the_split_entries_read_in_the_last_two",),
+    ),
+    Mutant(
+        "gene-redraw-without-low",
+        "src/eastwest/ga.py",
+        "child[idx] = low + (highs[idx] - low) * rng.random(idx.size)",
+        "child[idx] = (highs[idx] - low) * rng.random(idx.size)",
+        ("tests/test_ga.py::test_evolve_redraws_genes_as_the_reference_at_high_mutation_rates",),
+    ),
+    Mutant(
         "report-txt-in-every-format",
         "src/eastwest/cli.py",
         '    if args.format == "text":\n        artifacts["report.txt"]',
