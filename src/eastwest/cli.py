@@ -2,6 +2,12 @@
 
 Reports embed the full configuration and seed, and contain no timestamps,
 so a rerun with the same inputs is byte-identical.
+
+Only `features` and `trains` are imported here, and neither loads numpy, so
+`score`, `features`, `--help` and usage errors start without it.  The
+commands that learn or classify import the learner (`ga`, `theory`, `tree`)
+in their own bodies, and call it through the module, as the tests and the
+benchmark's hooks replace module attributes.
 """
 
 from __future__ import annotations
@@ -9,12 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import features, ga, theory as theory_mod, trains as trains_mod, tree as tree_mod
+from . import features, trains as trains_mod
 
 
 class CliError(Exception):
@@ -34,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 def data_path(name: str) -> Path:
     """Path of a bundled dataset, e.g. 'trains20.pl'."""
+    from importlib import resources  # about 10 ms to import; no command needs it
+
     return Path(resources.files("eastwest.data") / name)
 
 
@@ -80,15 +85,21 @@ def _load_dataset(path: str):
     return loaded
 
 
+# argparse dest -> the GaConfig field it sets; an option left out keeps the
+# field's default, which only GaConfig defines
+_GA_OPTIONS = {"seed": "rng_seed", "pop_size": "population_size", "generations": "generations",
+               "error_cost": "error_cost"}
+
+
 def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
     """The run's report, and the text of each file `--emit-dir` writes, by name."""
+    import numpy as np
+
+    from . import ga, theory as theory_mod, tree as tree_mod
+
+    given = {field: getattr(args, dest) for dest, field in _GA_OPTIONS.items() if getattr(args, dest) is not None}
     try:
-        config = ga.GaConfig(
-            population_size=args.pop_size,
-            generations=args.generations,
-            rng_seed=args.seed,
-            error_cost=args.error_cost,
-        )
+        config = ga.GaConfig(**given)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     trains = _load_dataset(data_file)
@@ -205,6 +216,8 @@ def cmd_multi(args) -> int:
 
 
 def cmd_agree(args) -> int:
+    from . import theory as theory_mod
+
     table = features.build_feature_table("full")
     texts = [_read_text(path) for path in (args.theory_a, args.theory_b)]
     try:
@@ -240,8 +253,8 @@ def cmd_features(args) -> int:
 def cmd_score(args) -> int:
     text = _read_text(args.program)
     try:
-        print(theory_mod.complexity(text))
-    except theory_mod.ProgramSyntaxError as exc:
+        print(trains_mod.complexity(text))
+    except trains_mod.ProgramSyntaxError as exc:
         raise CliError(f"{args.program}: {exc}") from None
     return 0
 
@@ -268,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ga_args(p):
-        p.add_argument("--seed", type=int, default=ga.GaConfig.rng_seed)
-        p.add_argument("--pop-size", type=int, default=ga.GaConfig.population_size)
-        p.add_argument("--generations", type=int, default=ga.GaConfig.generations)
-        p.add_argument("--error-cost", type=float, default=ga.GaConfig.error_cost)
+        # no defaults here: _run_one passes GaConfig only the options given
+        p.add_argument("--seed", type=int)
+        p.add_argument("--pop-size", type=int)
+        p.add_argument("--generations", type=int)
+        p.add_argument("--error-cost", type=float)
         p.add_argument(
             "--features",
             default="full",

@@ -26,8 +26,6 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size
 
 
@@ -216,6 +214,10 @@ class FeatureMatrix:
     labels: np.ndarray  # (n_trains,), bool, True = eastbound
 
     def __post_init__(self):
+        # numpy is imported where a matrix is made, so the table and the
+        # commands that only list it or score programs start without it
+        import numpy as np
+
         ids, values, labels = self.train_ids, self.values, self.labels
         if not (isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == bool):
             raise ValueError("feature values must be a 2-D bool array")
@@ -259,6 +261,8 @@ def predicate_bits(train: Train) -> int:
 
 def evaluate_features(trains: Sequence[Train], table: Sequence[FeatureSpec]) -> FeatureMatrix:
     """Evaluate every feature in `table` on every train."""
+    import numpy as np
+
     packed = bytearray(len(trains) * _VECTOR_BYTES)
     for row, train in enumerate(trains):
         start = row * _VECTOR_BYTES

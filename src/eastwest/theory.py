@@ -1,11 +1,12 @@
-"""Convert decision trees to logic programs and score their size.
+"""Convert decision trees to logic programs.
 
 A tree becomes a DNF over features (one conjunction per path to an east
 leaf), gets greedily simplified against the training matrix, and is then
 rendered as an `eastbound/1` clause built from each feature's Prolog
-fragment.  The size of a program is its count of `:-`, `;`, atom, variable
-and integer tokens (`trains.program_size`), the same rule that prices the
-features.
+fragment.  `finalize` scores the rendered program with `trains.complexity`,
+its count of `:-`, `;`, atom, variable and integer tokens, the same rule
+that prices the features; the scorer lives in `trains` so that `eastwest
+score` runs without numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
-from .trains import EAST, WEST, Train, TrainFormatError, _kind, _Parser, program_size
+# the scorer lives in trains, which loads without numpy; finalize calls it by
+# its name here, and ProgramSyntaxError is imported back for callers of both
+from .trains import EAST, WEST, ProgramSyntaxError, Train, complexity
 from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list
@@ -159,81 +162,6 @@ def finalize(theory: Theory, table: Sequence[FeatureSpec]) -> Theory:
     """The theory with its rendered program text and complexity score filled in."""
     rendered = render_program(theory, table)
     return replace(theory, rendered=rendered, complexity=complexity(rendered))
-
-
-# --- complexity scoring ----------------------------------------------------
-
-class ProgramSyntaxError(ValueError):
-    pass
-
-
-class _ProgParser(_Parser):
-    """Syntax check for the emitter's restricted output grammar."""
-
-    def parse_program(self):
-        while self.peek() is not None:
-            self.parse_unit()
-
-    def parse_unit(self):
-        # a unit with ':-' is a clause; a bare comma-list is a fragment
-        self.parse_literal()
-        if self.peek() == ":-":
-            self.next()
-            self.parse_body()
-        else:
-            while self.peek() == ",":
-                self.next()
-                self.parse_literal()
-        self.expect(".")
-
-    def parse_body(self):
-        self.parse_primary()
-        while self.peek() in (",", ";"):
-            self.next()
-            self.parse_primary()
-
-    def parse_primary(self):
-        if self.peek() == "(":
-            self.next()
-            self.parse_body()
-            self.expect(")")
-        else:
-            self.parse_literal()
-
-    def parse_literal(self):
-        if self.expect("atom") == "not":
-            self.parse_primary()
-        elif self.peek() == "(":
-            self.next()
-            self.parse_arg()
-            while self.peek() == ",":
-                self.next()
-                self.parse_arg()
-            self.expect(")")
-
-    def parse_arg(self):
-        kind = _kind(self.next())
-        if kind not in ("var", "int", "atom"):
-            raise self.error(f"expected an argument, found {kind!r}", self.i - 1)
-
-
-def complexity(program_text: str) -> int:
-    """Size of a program: its count of `:-`, `;`, atom, variable and integer tokens.
-
-    This counts every clause, operator (`;`, `not`), predicate, variable and
-    constant occurrence.  Units without `:-` are bodiless fragments, which
-    is how individual feature fragments are priced.  Raises
-    ProgramSyntaxError, naming a line and a column, for text outside the
-    emitter's grammar.
-    """
-    try:
-        parser = _ProgParser(program_text)
-        parser.parse_program()
-    except TrainFormatError as exc:
-        raise ProgramSyntaxError(str(exc)) from None
-    except RecursionError:
-        raise ProgramSyntaxError("the program is nested too deeply") from None
-    return program_size(parser.tokens)
 
 
 # --- evaluation ------------------------------------------------------------

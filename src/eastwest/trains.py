@@ -1,4 +1,4 @@
-"""Domain model for trains and a reader/writer for their ground-fact encoding.
+"""Trains, their ground-fact encoding, and the size score of Prolog programs.
 
 A train is a labeled, ordered list of cars.  The on-disk encoding is the
 ground Prolog fact format used by the East-West train files::
@@ -7,6 +7,12 @@ ground Prolog fact format used by the East-West train files::
 
 Only this fact grammar is understood; any other clause in the input is
 skipped so raw challenge files load unmodified.
+
+One tokenizer and one token cursor (`_Parser`) serve both that reader and
+the program scorer: `complexity` checks a program against the emitter's
+grammar and counts its tokens with `program_size`, the rule that also
+prices every feature.  The module loads without numpy (`random_trains`
+imports it when called), so `eastwest score` never loads it.
 """
 
 from __future__ import annotations
@@ -222,6 +228,81 @@ class _Parser:
         """Skip tokens up to and including the next clause-terminating '.'."""
         while self.next() != ".":
             pass
+
+
+# --- program scorer --------------------------------------------------------
+
+class ProgramSyntaxError(ValueError):
+    pass
+
+
+class _ProgParser(_Parser):
+    """Syntax check for the emitter's restricted output grammar."""
+
+    def parse_program(self):
+        while self.peek() is not None:
+            self.parse_unit()
+
+    def parse_unit(self):
+        # a unit with ':-' is a clause; a bare comma-list is a fragment
+        self.parse_literal()
+        if self.peek() == ":-":
+            self.next()
+            self.parse_body()
+        else:
+            while self.peek() == ",":
+                self.next()
+                self.parse_literal()
+        self.expect(".")
+
+    def parse_body(self):
+        self.parse_primary()
+        while self.peek() in (",", ";"):
+            self.next()
+            self.parse_primary()
+
+    def parse_primary(self):
+        if self.peek() == "(":
+            self.next()
+            self.parse_body()
+            self.expect(")")
+        else:
+            self.parse_literal()
+
+    def parse_literal(self):
+        if self.expect("atom") == "not":
+            self.parse_primary()
+        elif self.peek() == "(":
+            self.next()
+            self.parse_arg()
+            while self.peek() == ",":
+                self.next()
+                self.parse_arg()
+            self.expect(")")
+
+    def parse_arg(self):
+        kind = _kind(self.next())
+        if kind not in ("var", "int", "atom"):
+            raise self.error(f"expected an argument, found {kind!r}", self.i - 1)
+
+
+def complexity(program_text: str) -> int:
+    """Size of a program: its count of `:-`, `;`, atom, variable and integer tokens.
+
+    This counts every clause, operator (`;`, `not`), predicate, variable and
+    constant occurrence.  Units without `:-` are bodiless fragments, which
+    is how individual feature fragments are priced.  Raises
+    ProgramSyntaxError, naming a line and a column, for text outside the
+    emitter's grammar.
+    """
+    try:
+        parser = _ProgParser(program_text)
+        parser.parse_program()
+    except TrainFormatError as exc:
+        raise ProgramSyntaxError(str(exc)) from None
+    except RecursionError:
+        raise ProgramSyntaxError("the program is nested too deeply") from None
+    return program_size(parser.tokens)
 
 
 def _car_from_term(term) -> Car:

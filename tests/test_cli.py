@@ -547,13 +547,18 @@ def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):
     assert err == "error: out of memory for a population of 1000000000\n"
 
 
-def _cli_import_loads(module):
-    """Whether a fresh interpreter loads `module` when it imports eastwest.cli."""
+def _fresh_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(eastwest.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = f"import sys, eastwest.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def _cli_import_loads(module):
+    """Whether a fresh interpreter loads `module` when it imports eastwest.cli."""
+    out = _fresh_python(f"import sys, eastwest.cli; print({module!r} in sys.modules)")
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip() == "True"
 
 
@@ -567,6 +572,51 @@ def test_cli_import_does_not_load_scipy_special():
     # only pruning needs scipy (the bound's beta quantile), so the commands
     # that never prune (features, score, agree, gen-trains) never load it
     assert not _cli_import_loads("scipy.special")
+
+
+# main in a fresh interpreter; with numpy blocked, any import of it raises
+# ImportError, which main does not catch
+FRESH_MAIN = """
+import sys
+if sys.argv[1] == "block-numpy":
+    sys.modules["numpy"] = None
+from eastwest.cli import main
+code = main(sys.argv[2:])
+print(sys.modules.get("numpy") is not None)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["score-rendered", "score-syntax-error", "features-text", "features-json", "usage-error"],
+)
+def test_score_features_and_usage_errors_run_without_numpy(capsys, tmp_path, full_table, case):
+    rendered = finalize(Theory(dnf=(
+        ((feature_index(full_table, "closed"), 1), (feature_index(full_table, "short"), 1)),
+        ((feature_index(full_table, "closed_infront_peaked_roof"), 1), (feature_index(full_table, "train_4"), 0)),
+    )), full_table).rendered
+    (tmp_path / "program.pl").write_text(rendered)
+    (tmp_path / "bad.pl").write_text("eastbound(T) :-\n    has_car(T, C), [C].\n")
+    argv = {
+        "score-rendered": ["score", str(tmp_path / "program.pl")],
+        "score-syntax-error": ["score", str(tmp_path / "bad.pl")],
+        "features-text": ["features"],
+        "features-json": ["features", "--format", "json"],
+        "usage-error": ["induce", "--data", TRAINS20, "--pop-size", "x"],
+    }[case]
+    fresh = _fresh_python(FRESH_MAIN, "block-numpy", *argv)
+    code, out, err = run(capsys, argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "False\n", err)
+    assert code == (0 if case in ("score-rendered", "features-text", "features-json") else 2)
+
+
+def test_induce_in_a_fresh_interpreter_loads_numpy(capsys):
+    argv = ["induce", "--data", TRAINS20, "--features", "unary-train", "--pop-size", "2", "--generations", "1"]
+    fresh = _fresh_python(FRESH_MAIN, "allow-numpy", *argv)
+    code, out, err = run(capsys, argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "True\n", err)
+    assert "best tree:" in out
 
 
 # sha256 of the six artifacts of `eastwest induce --data trains20.pl --seed k --emit-dir out`

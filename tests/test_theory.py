@@ -213,6 +213,20 @@ def test_every_feature_renders_as_pinned(full_table):
     assert digest.hexdigest() == RENDER_DIGEST
 
 
+def test_a_conjunct_hoists_one_car_and_binds_fresh_cars_for_the_rest(full_table):
+    # (closed ∧ short) ∨ long: "some car is closed and some car is short" must
+    # not become "one car is closed and short", which would also score lower
+    f = lambda name: feature_index(full_table, name)
+    theory = finalize(Theory(dnf=(((f("closed"), 1), (f("short"), 1)), ((f("long"), 1),))), full_table)
+    assert theory.rendered == (
+        "eastbound(T) :-\n"
+        "    has_car(T, C),\n"
+        "    ((closed(C), has_car(T, C1), short(C1)) ;\n"
+        "    (long(C))).\n"
+    )
+    assert theory.complexity == 16
+
+
 @pytest.mark.parametrize(
     "fragment,score",
     [

@@ -183,7 +183,7 @@ MUTANTS = (
     ),
     Mutant(
         "body-without-disjunction",
-        "src/eastwest/theory.py",
+        "src/eastwest/trains.py",
         'while self.peek() in (",", ";"):',
         'while self.peek() in (",",):',
         ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
@@ -201,6 +201,13 @@ MUTANTS = (
         "(INFRONT_TEMPLATE, first[i], second[j])",
         "(INFRONT_TEMPLATE, first[i], first[j])",
         ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+    ),
+    Mutant(
+        "hoisted-car-shared-by-a-conjunct",
+        "src/eastwest/theory.py",
+        "spec.fragment[0] == HAS_CAR_TEMPLATE and not used_hoisted:",
+        "spec.fragment[0] == HAS_CAR_TEMPLATE:",
+        ("tests/test_theory.py::test_a_conjunct_hoists_one_car_and_binds_fresh_cars_for_the_rest",),
     ),
     Mutant(
         "always-two-fresh-cars",
@@ -249,6 +256,27 @@ MUTANTS = (
         '    if args.format == "text":\n        artifacts["report.txt"]',
         '    if True:\n        artifacts["report.txt"]',
         ("tests/test_cli.py::test_induce_json_prints_the_report_json_it_writes",),
+    ),
+    Mutant(
+        "cli-imports-numpy",
+        "src/eastwest/cli.py",
+        "from . import features, trains as trains_mod\n",
+        "import numpy as np\n\nfrom . import features, trains as trains_mod\n",
+        (
+            "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[score-rendered]",
+            "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[features-json]",
+            "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[usage-error]",
+        ),
+    ),
+    Mutant(
+        "features-imports-numpy",
+        "src/eastwest/features.py",
+        "from .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
+        "import numpy as np\n\nfrom .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
+        (
+            "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[score-syntax-error]",
+            "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[features-text]",
+        ),
     ),
 )
 
