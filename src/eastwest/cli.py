@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import features, trains as trains_mod
@@ -85,19 +86,15 @@ def _load_dataset(path: str):
     return loaded
 
 
-# argparse dest -> the GaConfig field it sets; an option left out keeps the
-# field's default, which only GaConfig defines
-_GA_OPTIONS = {"seed": "rng_seed", "pop_size": "population_size", "generations": "generations",
-               "error_cost": "error_cost"}
-
-
 def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
     """The run's report, and the text of each file `--emit-dir` writes, by name."""
     import numpy as np
 
     from . import ga, theory as theory_mod, tree as tree_mod
 
-    given = {field: getattr(args, dest) for dest, field in _GA_OPTIONS.items() if getattr(args, dest) is not None}
+    # each GA option's dest is its GaConfig field; one left out keeps the
+    # field's default, which only GaConfig defines
+    given = {f.name: value for f in fields(ga.GaConfig) if (value := getattr(args, f.name)) is not None}
     try:
         config = ga.GaConfig(**given)
     except ValueError as exc:
@@ -127,21 +124,13 @@ def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
             "data": str(data_file),
             "features": args.features,
             "n_features": len(table),
-            "population_size": config.population_size,
-            "generations": config.generations,
+            **asdict(config),
             "crossover_rate": ga.CROSSOVER_RATE,
             "mutation_rate": ga.MUTATION_RATE,
             "elitism_count": ga.ELITISM_COUNT,
-            "rng_seed": config.rng_seed,
-            "error_cost": config.error_cost,
         },
         "n_trains": len(trains),
-        "best": {
-            "fitness": result.best_report.fitness,
-            "test_cost": result.best_report.test_cost,
-            "error_count": result.best_report.error_count,
-            "error_rate": result.best_report.error_rate,
-        },
+        "best": asdict(result.best_report),
         "confusion": confusion,
         "program": simplified.rendered,
         "complexity": simplified.complexity,
@@ -224,7 +213,7 @@ def cmd_agree(args) -> int:
         a, b = (theory_mod.theory_from_json(text, table) for text in texts)
     except KeyError as exc:
         raise CliError(f"unknown feature {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:  # ValueError covers bad JSON
+    except ValueError as exc:  # covers bad JSON
         raise CliError(f"cannot load theory: {exc}") from None
     trains = _load_dataset(args.data)
     value = theory_mod.agreement(a, b, trains, table)
@@ -233,20 +222,12 @@ def cmd_agree(args) -> int:
 
 
 def cmd_features(args) -> int:
-    table = _load_table(args.features)
+    rows = [{"index": s.index, "name": s.name, "kind": s.kind, "cost": s.cost} for s in _load_table(args.features)]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"index": s.index, "name": s.name, "kind": s.kind, "cost": s.cost}
-                    for s in table
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps(rows, indent=2))
     else:
-        for s in table:
-            print(f"{s.index}\t{s.name}\t{s.kind}\t{s.cost}")
+        for row in rows:
+            print(*row.values(), sep="\t")
     return 0
 
 
@@ -282,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_ga_args(p):
         # no defaults here: _run_one passes GaConfig only the options given
-        p.add_argument("--seed", type=int)
-        p.add_argument("--pop-size", type=int)
+        p.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED")
+        p.add_argument("--pop-size", type=int, dest="population_size", metavar="POP_SIZE")
         p.add_argument("--generations", type=int)
         p.add_argument("--error-cost", type=float)
         p.add_argument(

@@ -263,10 +263,7 @@ def evaluate_features(trains: Sequence[Train], table: Sequence[FeatureSpec]) -> 
     """Evaluate every feature in `table` on every train."""
     import numpy as np
 
-    packed = bytearray(len(trains) * _VECTOR_BYTES)
-    for row, train in enumerate(trains):
-        start = row * _VECTOR_BYTES
-        packed[start:start + _VECTOR_BYTES] = predicate_bits(train).to_bytes(_VECTOR_BYTES, "little")
+    packed = b"".join(predicate_bits(t).to_bytes(_VECTOR_BYTES, "little") for t in trains)
     # bit k of a train's int is bit k % 8 of byte k // 8 of its bytes
     slots = np.array([spec.slot for spec in table], dtype=np.intp)
     values = np.frombuffer(packed, np.uint8).reshape(-1, _VECTOR_BYTES)[:, slots >> 3]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -101,14 +101,14 @@ def evaluate_individual(
     """Induce and score the tree for one bias vector.
 
     The memo builds one object per tree signature, and keeps one report per
-    tree object, so the memo must not outlive the costs and error cost it
-    was filled under.
+    tree object, cost vector and error cost.
     """
     tree = induce_tree(matrix, bias, memo)
-    found = memo.fitness.get(id(tree))
-    if found is None:  # the entry holds the tree, so no other tree takes its id
-        found = memo.fitness[id(tree)] = (tree, fitness(tree, matrix, costs, error_cost=config.error_cost))
-    return tree, found[1]
+    key = (id(tree), id(costs), config.error_cost)
+    found = memo.fitness.get(key)
+    if found is None:  # the entry holds the tree and the costs, so neither id is reused
+        found = memo.fitness[key] = (tree, costs, fitness(tree, matrix, costs, error_cost=config.error_cost))
+    return tree, found[2]
 
 
 def _rank_probabilities(order: np.ndarray) -> np.ndarray:
@@ -179,11 +179,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
 
 
 def history_to_csv(history: Sequence[GenerationStats]) -> str:
-    lines = ["generation,best,mean,best_test_cost,best_errors"]
-    for h in history:
-        lines.append(
-            ",".join(
-                [str(h.generation), repr(h.best), repr(h.mean), str(h.best_test_cost), str(h.best_errors)]
-            )
-        )
+    # str of a float is its repr
+    lines = [",".join(f.name for f in fields(GenerationStats))]
+    lines += [",".join(map(str, astuple(h))) for h in history]
     return "\n".join(lines) + "\n"

@@ -106,14 +106,13 @@ def _conjunction_text(
     conj: Conjunction, table: Sequence[FeatureSpec], hoisted_var: str | None, names: Iterator[int]
 ) -> str:
     parts: list[str] = []
-    used_hoisted = False
     for feat, val in conj:
         spec = table[feat]
         if val == 1:
             car_var = None
-            if hoisted_var is not None and spec.fragment[0] == HAS_CAR_TEMPLATE and not used_hoisted:
+            if hoisted_var is not None and spec.fragment[0] == HAS_CAR_TEMPLATE:
                 car_var = hoisted_var
-                used_hoisted = True
+                hoisted_var = None  # the conjunct's other car features bind fresh cars
             parts.extend(_feature_literals(spec, car_var, names))
         else:
             # negation of the feature's existential fragment, always self-contained
@@ -133,24 +132,15 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     """
     if not theory.dnf:
         return ""
-    names = itertools.count(1)
-
-    def binds_one_car(conj: Conjunction) -> bool:
-        return any(val == 1 and table[feat].fragment[0] == HAS_CAR_TEMPLATE for feat, val in conj)
-
-    hoist = sum(1 for c in theory.dnf if binds_one_car(c)) >= 2
+    hoist = sum(any(val == 1 and table[feat].fragment[0] == HAS_CAR_TEMPLATE for feat, val in conj)
+                for conj in theory.dnf) >= 2
     hoisted_var = "C" if hoist else None
+    names = itertools.count(1)
+    bodies = [_conjunction_text(conj, table, hoisted_var, names) for conj in theory.dnf]
+    if len(bodies) == 1:
+        return f"eastbound(T) :-\n    {bodies[0]}.\n" if bodies[0] else "eastbound(T).\n"
 
-    if len(theory.dnf) == 1:
-        body = _conjunction_text(theory.dnf[0], table, None, names)
-        if not body:
-            return "eastbound(T).\n"
-        return f"eastbound(T) :-\n    {body}.\n"
-
-    disjuncts = [
-        "(" + (_conjunction_text(c, table, hoisted_var, names) or "true") + ")"
-        for c in theory.dnf
-    ]
+    disjuncts = ["(" + (body or "true") + ")" for body in bodies]
     lines = ["eastbound(T) :-"]
     if hoist:
         lines.append(f"    {HAS_CAR_TEMPLATE.format(hoisted_var)},")
@@ -196,8 +186,10 @@ def theory_to_json(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
 def theory_from_json(text: str, table: Sequence[FeatureSpec]) -> Theory:
     """Raises ValueError for text that is not JSON of an object with a `dnf`
-    key, a literal value other than the int 0 or 1, or a `program` or
-    `complexity` of the wrong type; KeyError for an unknown feature name."""
+    key, a `dnf` that is not a list of lists of `[name, value]` lists, a
+    literal value other than the int 0 or 1, or a `program` or `complexity`
+    of the wrong type; KeyError for an unknown feature name (a name that is
+    not a string is unknown)."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -209,9 +201,17 @@ def theory_from_json(text: str, table: Sequence[FeatureSpec]) -> Theory:
     def literal(name: str, value) -> Literal:
         if type(value) is not int or value not in (0, 1):
             raise ValueError(f"literal {name!r} has value {value!r}, not 0 or 1")
+        if type(name) is not str:
+            raise KeyError(name)
         return by_name[name], value
 
-    dnf = tuple(tuple(literal(name, v) for name, v in conj) for conj in data["dnf"])
+    conjunctions = data["dnf"]
+    shaped = type(conjunctions) is list and all(
+        type(conj) is list and all(type(lit) is list and len(lit) == 2 for lit in conj) for conj in conjunctions
+    )
+    if not shaped:
+        raise ValueError("dnf must be a list of conjunctions, each a list of [name, value] literals")
+    dnf = tuple(tuple(literal(name, v) for name, v in conj) for conj in conjunctions)
     program, score = data.get("program", ""), data.get("complexity", 0)
     if type(program) is not str:
         raise ValueError(f"program must be a string, got {type(program).__name__}")

@@ -112,8 +112,8 @@ class InductionMemo:
 
     An example subset is an int bitset, bit i standing for matrix row i.
     Each entry depends on its key alone, never on the genome being induced.
-    A tree object is a key only while its entry holds the tree, so its `id`
-    cannot be reused:
+    A tree or cost-vector object is a key only while its entry holds it, so
+    its `id` cannot be reused:
     - `east`, `cols`, `everyone`: the east rows, each feature's true rows and
       all rows of the matrix;
     - `words`: the matrix's columns packed into 64-bit words, shape
@@ -136,8 +136,8 @@ class InductionMemo:
       object;
     - `pruned`: `prune`'s result for each tree object and cf;
     - `bounds`: the pruning bound of each `(errors, n, cf)`;
-    - `fitness`: the `FitnessReport` of each tree object; `ga.evaluate_individual`
-      fills it, under the one cost vector and error cost of its run.
+    - `fitness`: the `FitnessReport` of each tree object, cost vector object
+      and error cost; `ga.evaluate_individual` fills it.
     """
 
     def __init__(self, matrix: FeatureMatrix):
@@ -157,7 +157,7 @@ class InductionMemo:
         self.nodes: dict[tuple[int, int, int], Node] = {}
         self.pruned: dict[tuple[int, float], tuple[Tree, Tree]] = {}
         self.bounds: dict[tuple[int, int, float], float] = {}
-        self.fitness: dict[int, tuple[Tree, FitnessReport]] = {}
+        self.fitness: dict[tuple[int, int, float], tuple[Tree, np.ndarray, FitnessReport]] = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
         self._count = np.min_scalar_type(matrix.n_trains)  # exact, and the narrowest sum is the fastest
         self._no_split = (np.empty(0, dtype=self._index), np.empty(0))

@@ -434,3 +434,224 @@ def reference_evolve(matrix, costs, config):
         pop = np.array(next_pop)
 
     return EvolutionResult(best_tree, best_report, best_bias, history)
+
+
+# --- running an emitted program ---------------------------------------------
+
+# the challenge's background predicates over c/7 car terms,
+# c(Position, Shape, Length, Walls, Roof, Axles, l(LoadShape, LoadCount)):
+# a car's N-th argument is item N of its tuple
+_CAR_ARGUMENT_NAMES = {
+    "ellipse": (2, "ellipse"),
+    "hexagon": (2, "hexagon"),
+    "rectangle": (2, "rectangle"),
+    "u_shaped": (2, "u_shaped"),
+    "bucket": (2, "bucket"),
+    "long": (3, "long"),
+    "short": (3, "short"),
+    "double": (4, "double"),
+    "open": (5, "none"),
+}
+
+
+def _is_var(term) -> bool:
+    return isinstance(term, str) and (term[0].isupper() or term[0] == "_")
+
+
+def _value(env, term):
+    """A term under the bindings `env`: a bound variable's value, an unbound
+    variable itself, or the constant."""
+    return env.get(term, term) if _is_var(term) else term
+
+
+def _unify(env, term, value):
+    """`env` extended so that `term` equals the ground `value`, or None."""
+    term = _value(env, term)
+    if _is_var(term):
+        return {**env, term: value}
+    return env if term == value else None
+
+
+def _ground(env, term):
+    value = _value(env, term)
+    if _is_var(value):
+        raise ValueError(f"instantiation error: {term} is unbound")
+    return value
+
+
+def _background(env, name, args):
+    """Every extension of `env` under which the call `name(args)` holds."""
+    if name == "true" and not args:
+        yield env
+    elif name == "has_car":
+        for car in _ground(env, args[0]):
+            if (found := _unify(env, args[1], car)) is not None:
+                yield found
+    elif name == "infront":
+        cars = _ground(env, args[0])
+        for first, second in zip(cars, cars[1:]):
+            found = _unify(env, args[1], first)
+            if found is not None and (found := _unify(found, args[2], second)) is not None:
+                yield found
+    elif name == "len1":
+        if (found := _unify(env, args[1], len(_ground(env, args[0])))) is not None:
+            yield found
+    elif name == "has_load1":  # has_car(T, C), has_load0(C, Shape)
+        for car in _ground(env, args[0]):
+            yield from _background(env, "has_load0", (car, args[1]))
+    elif name == "has_load0":  # arg(7, C, l(Shape, N)), N >= 1
+        _, shape, count = _ground(env, args[0])[7]
+        if count >= 1 and (found := _unify(env, args[1], shape)) is not None:
+            yield found
+    elif name == "has_load":  # arg(7, C, l(_, N))
+        if (found := _unify(env, args[1], _ground(env, args[0])[7][2])) is not None:
+            yield found
+    elif name == "arg":
+        if (found := _unify(env, args[2], _ground(env, args[1])[_ground(env, args[0])])) is not None:
+            yield found
+    elif name == "closed":  # arg(5, C, R), R \== none
+        if _ground(env, args[0])[5] != "none":
+            yield env
+    elif name in _CAR_ARGUMENT_NAMES and len(args) == 1:  # arg(N, C, value)
+        n, value = _CAR_ARGUMENT_NAMES[name]
+        yield from _background(env, "arg", (n, args[0], value))
+    else:
+        raise ValueError(f"unknown predicate {name}/{len(args)}")
+
+
+def _solve(goal, env):
+    """Every extension of `env` under which `goal` holds, found by
+    backtracking as Prolog would (depth first, left to right)."""
+    kind = goal[0]
+    if kind == ",":
+        first, *rest = goal[1]
+        for found in _solve(first, env):
+            yield from (_solve((",", rest), found) if rest else [found])
+    elif kind == ";":
+        for alternative in goal[1]:
+            yield from _solve(alternative, env)
+    elif kind == "not":  # negation as failure
+        if next(_solve(goal[1], env), None) is None:
+            yield env
+    else:
+        yield from _background(env, goal[1], goal[2])
+
+
+class _ProgramReader:
+    """Clauses of a Prolog text: `,` binds tighter than `;`, `not` is a
+    prefix operator or a call, and there are no operators besides."""
+
+    def __init__(self, text: str):
+        self.tokens = [t for t in re.findall(r"%[^\n]*|:-|\d+|\w+|\S", text) if t[0] != "%"]
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, expected=None):
+        token = self.peek()
+        if token is None or expected is not None and token != expected:
+            raise ValueError(f"expected {expected or 'a token'} at token {self.i}, found {token!r}")
+        self.i += 1
+        return token
+
+    def clauses(self):
+        """(head, body) per clause; a fact's body is `true`."""
+        while self.peek() is not None:
+            head, body = self.primary(), ("call", "true", ())
+            if self.peek() == ":-":
+                self.take()
+                body = self.disjunction()
+            self.take(".")
+            yield head, body
+
+    def disjunction(self):
+        goals = [self.conjunction()]
+        while self.peek() == ";":
+            self.take()
+            goals.append(self.conjunction())
+        return (";", goals) if len(goals) > 1 else goals[0]
+
+    def conjunction(self):
+        goals = [self.primary()]
+        while self.peek() == ",":
+            self.take()
+            goals.append(self.primary())
+        return (",", goals) if len(goals) > 1 else goals[0]
+
+    def primary(self):
+        if self.peek() == "(":
+            self.take()
+            goal = self.disjunction()
+            self.take(")")
+            return goal
+        name = self.take()
+        if not name[0].islower():
+            raise ValueError(f"expected a predicate name, found {name!r}")
+        if name == "not":
+            return ("not", self.primary())
+        args = []
+        if self.peek() == "(":
+            self.take()
+            args.append(self.term())
+            while self.peek() == ",":
+                self.take()
+                args.append(self.term())
+            self.take(")")
+        return ("call", name, tuple(args))
+
+    def term(self):
+        token = self.take()
+        if token.isdigit():
+            return int(token)
+        if not (token[0].isalpha() or token[0] == "_"):
+            raise ValueError(f"expected a term, found {token!r}")
+        return token
+
+
+def run_eastbound(program_text: str, train) -> bool:
+    """Whether `eastbound(T)` holds for `train` under the program, run by a
+    small Prolog interpreter over the challenge's background predicates.
+
+    The train is the list of its cars, each the c/7 term the challenge
+    gives it.  Only `eastbound/1` clauses are read; no clause means no
+    train is eastbound.
+    """
+    cars = tuple(
+        ("c", c.position, c.shape, c.length, c.walls, c.roof, c.axles, ("l", c.load_shape, c.load_count))
+        for c in train.cars
+    )
+    for head, body in _ProgramReader(program_text).clauses():
+        if head[:2] != ("call", "eastbound") or len(head[2]) != 1:
+            raise ValueError(f"not an eastbound/1 clause: {head}")
+        env = _unify({}, head[2][0], cars)
+        if env is not None and next(_solve(body, env), None) is not None:
+            return True
+    return False
+
+
+def reference_program_size(dnf, table) -> int:
+    """The size of the program `render_program` emits for `dnf`, counted
+    from the feature costs: 2 for `eastbound(T)` and 1 for its `:-`, 1 per
+    `;`, a positive literal at its feature's cost, a negated one at 1 more
+    for its `not`, and 1 for an empty disjunct's `true`; a lone empty
+    conjunction is the fact `eastbound(T).` and no conjunction is no program.
+
+    When two or more disjuncts hold a positive unary or pair literal, one
+    `has_car(T, C)` (3) goes in front of the disjunction, and the first such
+    literal of each disjunct drops its own `has_car` (3).
+    """
+    if not dnf:
+        return 0
+    if dnf == ((),):
+        return 2
+    hoistable = [
+        next((i for i, (f, value) in enumerate(conj) if value and table[f].kind in ("unary", "pair")), None)
+        for conj in dnf
+    ]
+    hoist = sum(i is not None for i in hoistable) >= 2
+    size = 3 + len(dnf) - 1 + 3 * hoist
+    for conj, hoisted in zip(dnf, hoistable):
+        size += sum(table[f].cost + 1 - value - 3 * (hoist and i == hoisted) for i, (f, value) in enumerate(conj))
+        size += not conj
+    return size

@@ -18,6 +18,8 @@ from eastwest.features import build_feature_table, feature_index
 from eastwest.theory import Theory, finalize, theory_to_json
 from eastwest.trains import load_trains
 
+from oracles import run_eastbound
+
 TRAINS10 = str(data_path("trains10.pl"))
 TRAINS20 = str(data_path("trains20.pl"))
 
@@ -706,11 +708,38 @@ INDUCE_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def induce_runs(tmp_path_factory):
+    """`induce_runs(k)`: the `out` directory of the run INDUCE_DIGESTS pins for
+    seed k, made once per seed and module."""
+    outdirs = {}
+
+    def outdir(seed):
+        if seed not in outdirs:
+            cwd = tmp_path_factory.mktemp(f"induce-seed{seed}")
+            (cwd / "trains20.pl").write_bytes(Path(TRAINS20).read_bytes())
+            with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+                patch.chdir(cwd)
+                assert main(["induce", "--data", "trains20.pl", "--seed", str(seed), "--emit-dir", "out"]) == 0
+            outdirs[seed] = cwd / "out"
+        return outdirs[seed]
+
+    return outdir
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_induce_artifacts_are_pinned(capsys, tmp_path, monkeypatch, seed):
-    (tmp_path / "trains20.pl").write_bytes(Path(TRAINS20).read_bytes())
-    monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, ["induce", "--data", "trains20.pl", "--seed", str(seed), "--emit-dir", "out"])
-    assert code == 0
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+def test_induce_artifacts_are_pinned(induce_runs, seed):
+    out = induce_runs(seed)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert digests == INDUCE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_induce_program_classifies_trains20_as_its_report_says(induce_runs, trains20, seed):
+    out = induce_runs(seed)
+    program = (out / "program.pl").read_text()
+    said = json.loads((out / "report.json").read_text())["confusion"]
+    ran = dict.fromkeys(said, 0)
+    for train in trains20:
+        ran[f"{train.label}_as_{'east' if run_eastbound(program, train) else 'west'}"] += 1
+    assert ran == said

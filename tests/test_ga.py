@@ -235,6 +235,19 @@ def test_evaluate_individual_uses_cache(easy_problem):
     assert first is second
 
 
+def test_evaluate_individual_on_a_shared_memo_scores_under_the_costs_and_error_cost_given(matrix20, costs20):
+    # cf 50 prunes trains20's tree to one that errs, so the error cost shows
+    bias = BiasVector(np.zeros(matrix20.n_features), 0.0, 50.0)
+    memo = InductionMemo(matrix20)
+    runs = [(costs20, 1000.0), (10 * costs20, 1000.0), (costs20, 10.0)]
+    reports = [evaluate_individual(bias, matrix20, c, GaConfig(error_cost=e), memo)[1] for c, e in runs]
+    fresh = [evaluate_individual(bias, matrix20, c, GaConfig(error_cost=e), InductionMemo(matrix20))[1]
+             for c, e in runs]
+    assert reports == fresh
+    assert reports[0].error_count > 0
+    assert len({(r.test_cost, r.fitness) for r in reports}) == 3
+
+
 def test_history_to_csv_round_figures(easy_problem):
     matrix, costs = easy_problem
     result = evolve(matrix, costs, small_config(generations=3))

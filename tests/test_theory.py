@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eastwest.features import build_feature_table, evaluate_features, feature_index
@@ -37,7 +37,7 @@ from eastwest.tree import (
     tree_to_json,
 )
 
-from oracles import reference_simplify
+from oracles import reference_program_size, reference_simplify, run_eastbound
 
 REFERENCE_PROGRAM = (
     "eastbound(T) :-\n"
@@ -227,6 +227,28 @@ def test_a_conjunct_hoists_one_car_and_binds_fresh_cars_for_the_rest(full_table)
     assert theory.complexity == 16
 
 
+# half the literals are unary or pair features (indices below 406), the ones a
+# disjunct can hoist; (closed ∧ short) ∨ long is ((10, 1), (6, 1)), ((5, 1),)
+LITERALS = st.tuples(st.one_of(st.integers(0, 405), st.integers(0, 1198)), st.integers(0, 1))
+DNFS = st.lists(st.lists(LITERALS, max_size=4).map(tuple), max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DNFS, st.integers(0, 10**6))
+@example((), 0)
+@example(((),), 0)
+@example((((10, 1),),), 0)
+@example((((10, 1), (6, 1)),), 0)
+@example((((10, 1), (6, 1)), ((5, 1),)), 0)
+@example((((10, 1), (6, 1), (5, 0)), (), ((600, 1), (5, 1), (6, 1)), ((1198, 1),)), 1)
+def test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost(full_table, dnf, seed):
+    trains = random_trains(20, seed)
+    text = render_program(Theory(dnf=dnf), full_table)
+    want = evaluate_dnf(dnf, evaluate_features(trains, full_table).values).tolist()
+    assert [run_eastbound(text, train) for train in trains] == want
+    assert complexity(text) == reference_program_size(dnf, full_table)
+
+
 @pytest.mark.parametrize(
     "fragment,score",
     [
@@ -396,6 +418,27 @@ def test_theory_from_dict_names_an_unknown_feature(full_table):
     with pytest.raises(KeyError) as exc:
         theory_from_json(json.dumps({"dnf": [[["train_2", 1], ["nope", 0]]]}), full_table)
     assert exc.value.args == ("nope",)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["train_2", "ellipse"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.sampled_from([
+    lambda v: v, lambda v: [v], lambda v: [[v]], lambda v: [[[v, 1]]], lambda v: [[["train_2", v]]],
+]))
+def test_theory_from_json_raises_only_typed_errors(full_table, value, place):
+    # any JSON value as the dnf, a conjunction, a literal, a name or a value
+    text = json.dumps({"dnf": place(value)})
+    try:
+        theory_from_json(text, full_table)
+    except (ValueError, KeyError):
+        pass
 
 
 def leaf_counts(tree):

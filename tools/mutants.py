@@ -193,21 +193,30 @@ MUTANTS = (
         "src/eastwest/theory.py",
         "t.format(car_var) for t in spec.fragment[1:]",
         "t.format(car_var) for t in spec.fragment",
-        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+        (
+            "tests/test_theory.py::test_every_feature_renders_as_pinned",
+            "tests/test_theory.py::test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost",
+        ),
     ),
     Mutant(
         "second-infront-literal-on-the-first-car",
         "src/eastwest/features.py",
         "(INFRONT_TEMPLATE, first[i], second[j])",
         "(INFRONT_TEMPLATE, first[i], first[j])",
-        ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
+        (
+            "tests/test_theory.py::test_every_feature_renders_as_pinned",
+            "tests/test_theory.py::test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost",
+        ),
     ),
     Mutant(
         "hoisted-car-shared-by-a-conjunct",
         "src/eastwest/theory.py",
-        "spec.fragment[0] == HAS_CAR_TEMPLATE and not used_hoisted:",
-        "spec.fragment[0] == HAS_CAR_TEMPLATE:",
-        ("tests/test_theory.py::test_a_conjunct_hoists_one_car_and_binds_fresh_cars_for_the_rest",),
+        "hoisted_var = None",
+        "pass",
+        (
+            "tests/test_theory.py::test_a_conjunct_hoists_one_car_and_binds_fresh_cars_for_the_rest",
+            "tests/test_theory.py::test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost",
+        ),
     ),
     Mutant(
         "always-two-fresh-cars",
@@ -276,6 +285,64 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[score-syntax-error]",
             "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[features-text]",
+        ),
+    ),
+    Mutant(
+        "fitness-cache-without-the-costs",
+        "src/eastwest/ga.py",
+        "key = (id(tree), id(costs), config.error_cost)",
+        "key = (id(tree), config.error_cost)",
+        ("tests/test_ga.py::test_evaluate_individual_on_a_shared_memo_scores_under_the_costs_and_error_cost_given",),
+    ),
+    Mutant(
+        "theory-json-without-the-dnf-shape-check",
+        "src/eastwest/theory.py",
+        "    if not shaped:\n",
+        "    if False:\n",
+        ("tests/test_theory.py::test_theory_from_json_raises_only_typed_errors",),
+    ),
+    Mutant(
+        "bound-a-hair-high",
+        "src/eastwest/tree.py",
+        "return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))",
+        "return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0)) * (1 + 1e-12)",
+        ("tests/test_tree.py::test_pessimistic_bound_equals_beta_ppf_exactly",),
+    ),
+    Mutant(
+        "memo-shared-across-runs",
+        "src/eastwest/ga.py",
+        "memo = InductionMemo(matrix)  # lives as long as this run",
+        "memo = evolve.memo = getattr(evolve, 'memo', None) or InductionMemo(matrix)",
+        (
+            "tests/test_ga.py::test_evolved_trees_match_unmemoized_reference",
+            "tests/test_ga.py::test_evolve_frees_its_memo_without_the_cycle_collector",
+        ),
+    ),
+    Mutant(
+        "no-infront-on-five-or-more-cars",
+        "src/eastwest/features.py",
+        "in_front = spread\n",
+        "in_front = spread if len(train.cars) < 5 else 0\n",
+        ("tests/test_features.py::test_predicate_bits_match_the_numpy_vector_and_brute_force",),
+    ),
+    Mutant(
+        "predict-drops-a-row",
+        "src/eastwest/tree.py",
+        "out[idx] = node.label == EAST",
+        "out[idx[1:]] = node.label == EAST",
+        (
+            "tests/test_tree.py::test_predict_all_matches_row_loop_on_random_trees",
+            "tests/test_tree.py::test_predict_all_matches_row_loop_on_grown_trees",
+        ),
+    ),
+    Mutant(
+        "bad-character-one-token-late",
+        "src/eastwest/trains.py",
+        "*_token_position(source, index))",
+        "*_token_position(source, index + 1))",
+        (
+            "tests/test_trains.py::test_errors_carry_line_and_column[unexpected-character]",
+            "tests/test_trains.py::test_tokenize_matches_named_group_reference",
         ),
     ),
 )
