@@ -160,7 +160,11 @@ def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
     """East iff some conjunction is satisfied by the train's feature values."""
     bits = predicate_bits(train)
     for conj in theory.dnf:
-        if all((bits >> table[feat].slot & 1) == val for feat, val in conj):
+        # a plain loop: all() would build a generator for every conjunction
+        for feat, val in conj:
+            if (bits >> table[feat].slot & 1) != val:
+                break
+        else:
             return EAST
     return WEST
 

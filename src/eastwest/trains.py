@@ -8,15 +8,23 @@ ground Prolog fact format used by the East-West train files::
 Only this fact grammar is understood; any other clause in the input is
 skipped so raw challenge files load unmodified.
 
-One tokenizer and one token cursor (`_Parser`) serve both that reader and
-the program scorer: `complexity` checks a program against the emitter's
-grammar and counts its tokens with `program_size`, the rule that also
-prices every feature.  The module loads without numpy (`random_trains`
-imports it when called), so `eastwest score` never loads it.
+Text made only of facts in the shape `render_train` writes, with
+whitespace between tokens and `%` comment lines between facts, is read
+fact by fact with one regular expression (`_read_facts`).  Any other text,
+and any text holding an error, is read whole by the token reader, which
+gives each error its line and column.
+
+One tokenizer and one token cursor (`_Parser`) serve both the token
+reader and the program scorer: `complexity` checks a program against the
+emitter's grammar and counts its tokens with `program_size`, the rule
+that also prices every feature.  The module loads without numpy
+(`random_trains` imports it when called), so `eastwest score` never
+loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -319,26 +327,47 @@ def _car_from_term(term) -> Car:
     return Car(*fields, *load[1])
 
 
-# the tokens of a car term whose fields are plain atoms and integers, as
-# render_car writes it, and its punctuation at the odd indices 1..19
-_CAR_SHAPE = _tokenize("c(P, S, L, W, R, A, l(S, N))")
-_CAR_PUNCTUATION = _CAR_SHAPE[1::2]
+def _spaced(shape: str, **parts: str) -> str:
+    """A pattern for the tokens of `shape` with any whitespace between them;
+    a variable token named in `parts` stands for that pattern."""
+    return r"\s*".join(parts.get(tok) or re.escape(tok) for tok in _tokenize(shape))
 
 
-def _car_fields(tokens, i):
-    """The Car fields of a c/7 term of that shape at token i, read by index;
-    None for anything else, which the general term reader then reports."""
-    toks = tokens[i:i + len(_CAR_SHAPE)]
-    if (len(toks) < len(_CAR_SHAPE) or toks[1::2] != _CAR_PUNCTUATION
-            or toks[0] != "c" or toks[14] != "l" or toks[20] != ")"):
+@functools.cache  # compiled on first use: at import it would delay every command
+def _fact_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The fact, car and end patterns of `_read_facts`.
+
+    Atoms and integers are spelled as in `_TOKEN_RE`, so text that these
+    patterns accept tokenizes to the tokens they read.  A gap is whitespace
+    and whole `%` comments.
+    """
+    # the lookahead keeps backtracking from ending a comment early and
+    # reading a fact out of the rest of its line
+    gap = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
+    car = _spaced("c(I, A, A, A, A, I, l(A, I))", I=r"(\d+)", A="([a-z][A-Za-z0-9_]*)")
+    fact = gap + _spaced("L([C]).", L=r"(east|west)bound", C=rf"({car}(?:\s*,\s*{car})*)")
+    return re.compile(fact), re.compile(car), re.compile(gap + r"\Z")
+
+
+def _read_facts(source: str) -> list[Train] | None:
+    """The trains of text that holds nothing but train facts of the shape
+    render_train writes, with gaps between facts; None for any other text,
+    for an integer too long for int() and for an invalid car or train."""
+    fact, car, end = _fact_patterns()
+    trains: list[Train] = []
+    counts = {EAST: 0, WEST: 0}
+    pos = 0
+    try:
+        while m := fact.match(source, pos):
+            label = m[1]  # "east" or "west", which are EAST and WEST
+            counts[label] += 1
+            cars = [Car(int(p), shape, length, walls, roof, int(axles), load, int(n))
+                    for p, shape, length, walls, roof, axles, load, n in car.findall(m[2])]
+            trains.append(Train(f"{label}{counts[label]}", label, tuple(cars)))
+            pos = m.end()
+    except ValueError:  # TrainFormatError is one; the token reader then reports it
         return None
-    position, shape, length, walls, roof, axles, load_shape, load_count = toks[2:13:2] + toks[16:19:2]
-    if not {shape[0], length[0], walls[0], roof[0], load_shape[0]} <= _ATOM_STARTS:
-        return None
-    try:  # int() accepts no other token, nor an integer beyond its conversion limit
-        return int(position), shape, length, walls, roof, int(axles), load_shape, int(load_count)
-    except ValueError:
-        return None
+    return trains if end.match(source, pos) else None
 
 
 def parse_trains(source: str) -> list[Train]:
@@ -347,6 +376,9 @@ def parse_trains(source: str) -> list[Train]:
     Unrelated clauses are skipped.  Ids are assigned east1.., west1.. per
     label in order of appearance.
     """
+    trains = _read_facts(source)
+    if trains is not None:
+        return trains
     try:
         return _parse_facts(_Parser(source))
     except RecursionError:
@@ -370,13 +402,9 @@ def _parse_facts(parser: _Parser) -> list[Train]:
             cars = []
             while True:
                 term_start = parser.i
-                fields = _car_fields(parser.tokens, term_start)
-                if fields is None:
-                    term = parser.parse_term()
-                else:
-                    parser.i += len(_CAR_SHAPE)
+                term = parser.parse_term()
                 try:
-                    cars.append(_car_from_term(term) if fields is None else Car(*fields))
+                    cars.append(_car_from_term(term))
                 except TrainFormatError as exc:
                     raise parser.error(str(exc), term_start) from None
                 if parser.peek() != ",":

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -155,11 +156,15 @@ CARS_1_3 = (
          "car shape must be one of ('rectangle', 'hexagon', 'ellipse', 'u_shaped', 'bucket'), got 'blob'"),
         ("% header\n\nwestbound([c(1,rectangle,short,not_double,none," + "7" * 5000 + ",l(circle,1))]).\n",
          48, "integer of 5000 digits is too long"),
+        ("% header\n\n    eastbound([d(1,rectangle,short,not_double,none,2,l(circle,1))]).\n", 16,
+         "expected a c/7 car term, found d(1,rectangle,short,not_double,none,2,l(circle,1))"),
+        ("% header\n\n    eastbound([c(1,rectangle,short,not_double,none,2,m(circle,1))]).\n", 16,
+         "expected an l/2 load term, found m(circle,1)"),
     ],
     ids=[
         "unexpected-character", "car-arity", "over-long-integer", "after-comment-line",
         "end-after-trailing-comment", "crlf-character", "crlf-train", "car-field-value",
-        "over-long-integer-in-car-term",
+        "over-long-integer-in-car-term", "car-functor", "load-functor",
     ],
 )
 def test_errors_carry_line_and_column(source, column, message):
@@ -234,6 +239,13 @@ def parse_or_error(text):
         return str(exc), exc.line, exc.column
 
 
+def term_reader_or_error(text):
+    """parse_or_error with the fact reader switched off, so the token reader
+    reads all of the text."""
+    with mock.patch.object(trains_mod, "_read_facts", lambda source: None):
+        return parse_or_error(text)
+
+
 # a car term's ten parts are its functor, its position, its CAR_FIELDS values and
 # its load functor; at most one part is replaced by text of the wrong kind, out
 # of its domain, compound, a variable or an over-long integer
@@ -256,36 +268,98 @@ def car_text(position, fields, fault, text):
 @given(st.sampled_from(["eastbound", "westbound"]), st.lists(faulty_cars, min_size=1, max_size=3))
 def test_car_term_fast_reader_matches_the_term_reader(functor, cars):
     text = f"{functor}([{', '.join(car_text(i, *car) for i, car in enumerate(cars, 1))}]).\n"
-    with mock.patch.object(trains_mod, "_car_fields", lambda tokens, i: None):
-        general = parse_or_error(text)
-    assert parse_or_error(text) == general
+    assert parse_or_error(text) == term_reader_or_error(text)
 
 
-def test_writer_shaped_cars_never_reach_the_term_reader(trains20):
-    # the car fast reader takes every car that render_car writes and every car
-    # of the bundled file, so the general term reader is never called
-    expected = random_trains(200, 1) + trains20
-    text = render_trains(expected[:200]) + "\n" + Path(data_path("trains20.pl")).read_text(encoding="utf-8")
+SPACES = ("", " ", "\t", "\r", "\n", "\u2003")
+COMMENT_LINE = "% note\n"
 
-    def refuse(parser):
-        raise AssertionError(f"the term reader was called at token {parser.i}")
 
-    with mock.patch.object(trains_mod._Parser, "parse_term", refuse):
-        parsed = parse_trains(text)
-    assert [t.cars for t in parsed] == [t.cars for t in expected]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_spaced_and_commented_facts_read_as_the_term_reader_reads_them(count, seed, gap_seed):
+    # whitespace runs between any two tokens, comment lines between facts and
+    # perhaps one more anywhere: the text still holds the same trains, and the
+    # fact reader takes it unless a comment falls inside a fact
+    trains = random_trains(count, seed)
+    tokens = _tokenize(render_trains(trains))
+    rng = random.Random(gap_seed)  # hundreds of gaps: one draw each from hypothesis is slow
+
+    def gap(pieces):
+        return "".join(rng.choices(pieces, k=rng.randrange(5)))
+
+    gaps = [gap(SPACES + (COMMENT_LINE,)) if i == 0 or tokens[i - 1] == "." else gap(SPACES)
+            for i in range(len(tokens) + 1)]
+    comment_at = rng.randrange(-1, len(tokens) + 1)  # none when negative
+    if comment_at >= 0:
+        gaps[comment_at] += COMMENT_LINE
+    text = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+    assert parse_trains(text) == term_reader_or_error(text) == trains
+    inside_a_fact = 0 < comment_at < len(tokens) and tokens[comment_at - 1] != "."
+    assert (trains_mod._read_facts(text) is None) == inside_a_fact
+
+
+EDIT_CHARACTERS = "ceilstw019_XA()[],.;:% \t\r\n\u2003\u0663\u00e9"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["delete", "insert", "replace"]),
+       st.sampled_from(EDIT_CHARACTERS), st.floats(0, 1, exclude_max=True))
+def test_one_character_edits_read_as_the_term_reader_reads_them(seed, edit, character, where):
+    text = render_trains(random_trains(2, seed))
+    i = int(where * len(text))
+    if edit == "insert":
+        text = text[:i] + character + text[i:]
+    else:
+        text = text[:i] + ("" if edit == "delete" else character) + text[i + 1:]
+    assert parse_or_error(text) == term_reader_or_error(text)
+
+
+def test_a_fact_inside_a_comment_is_not_read():
+    # a comment runs to the end of its line, even where the fact pattern could
+    # match what follows its first character
+    first = parse_trains(FIRST_TRAIN_FACT)
+    for text, expected in [("% " + FIRST_TRAIN_FACT + "\n", []),
+                           (FIRST_TRAIN_FACT + "\n%  " + FIRST_TRAIN_FACT, first)]:
+        assert parse_trains(text) == term_reader_or_error(text) == expected
+
+
+def test_non_ascii_decimal_digits_are_integers_on_both_readers():
+    # \d matches them and int() reads them, so _kind must call them integers
+    fact = "westbound([c(\u0661, rectangle, long, not_double, flat, \u0662, l(circle, \u0663))])."
+    expected = [Train("west1", "west", (Car(1, "rectangle", "long", "not_double", "flat", 2, "circle", 3),))]
+    assert parse_trains(fact) == term_reader_or_error(fact) == expected
+
+
+def test_writer_shaped_cars_never_reach_the_term_reader(trains10, trains20):
+    # the fact reader takes all of render_trains' output and of each bundled
+    # file, so the token reader's parser is never built
+    def refuse(source):
+        raise AssertionError("the token reader was called")
+
+    cases = [
+        (render_trains(random_trains(200, 1)), random_trains(200, 1)),
+        (Path(data_path("trains10.pl")).read_text(encoding="utf-8"), trains10),
+        (Path(data_path("trains20.pl")).read_text(encoding="utf-8"), trains20),
+    ]
+    with mock.patch.object(trains_mod, "_Parser", refuse):
+        for text, expected in cases:
+            assert parse_trains(text) == expected
 
 
 def test_parse_peak_memory_of_2000_trains():
-    # about 16-17 MB when every token carried its character offset, 11.5 MB as
-    # (kind, text) pairs and 3.9 MB as plain strings
+    # the fact reader's peak is about 2.8 MiB; the token reader's, which a
+    # comment inside the first fact forces, about 3.9 MiB (16-17 MB when every
+    # token carried its character offset, 11.5 MB as (kind, text) pairs)
     text = render_trains(random_trains(2000, 0))
-    tracemalloc.start()
-    try:
-        parse_trains(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    for source in (text, text.replace("(", "( % a comment inside the first fact\n", 1)):
+        tracemalloc.start()
+        try:
+            parse_trains(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def test_random_trains_rejects_negative_count():

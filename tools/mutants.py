@@ -77,6 +77,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "classify-loop-continue",
+        "src/eastwest/theory.py",
+        "!= val:\n                break",
+        "!= val:\n                continue",
+        (
+            "tests/test_theory.py::test_classify_matches_evaluate_dnf",
+            "tests/test_theory.py::test_classify_and_agreement_match_the_matrix_on_subset_tables",
+        ),
+    ),
+    Mutant(
         "simplify-order",
         "src/eastwest/theory.py",
         "for wanted_value in (0, 1):",
@@ -98,11 +108,80 @@ MUTANTS = (
         ("tests/test_tree.py::test_entropy_table_matches_float_recipe",),
     ),
     Mutant(
-        "car-punctuation-tuple",
+        "fact-punctuation-escaped-twice",
         "src/eastwest/trains.py",
-        "_CAR_PUNCTUATION = _CAR_SHAPE[1::2]",
-        "_CAR_PUNCTUATION = tuple(_CAR_SHAPE[1::2])",
+        "parts.get(tok) or re.escape(tok)",
+        "parts.get(tok) or re.escape(re.escape(tok))",
         ("tests/test_trains.py::test_writer_shaped_cars_never_reach_the_term_reader",),
+    ),
+    Mutant(
+        "fact-label-swapped",
+        "src/eastwest/trains.py",
+        "label = m[1]",
+        "label = EAST",
+        (
+            "tests/test_trains.py::test_parse_minimal_westbound_fact",
+            "tests/test_trains.py::test_ids_count_per_label_in_order",
+        ),
+    ),
+    Mutant(
+        "fact-reader-without-end-check",
+        "src/eastwest/trains.py",
+        "return trains if end.match(source, pos) else None",
+        "return trains",
+        (
+            "tests/test_trains.py::test_unrelated_clauses_are_skipped",
+            "tests/test_trains.py::test_errors_carry_line_and_column[end-after-trailing-comment]",
+        ),
+    ),
+    Mutant(
+        "fact-reader-keeps-partial-result",
+        "src/eastwest/trains.py",
+        "        return None\n    return trains if",
+        "        return trains\n    return trains if",
+        (
+            "tests/test_trains.py::test_errors_carry_line_and_column[car-field-value]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[crlf-train]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[over-long-integer-in-car-term]",
+        ),
+    ),
+    Mutant(
+        "comment-may-end-before-its-line",
+        "src/eastwest/trains.py",
+        r'gap = r"\s*(?:%[^\n]*(?![^\n])\s*)*"',
+        r'gap = r"\s*(?:%[^\n]*\s*)*"',
+        ("tests/test_trains.py::test_a_fact_inside_a_comment_is_not_read",),
+    ),
+    Mutant(
+        "car-functor-unchecked",
+        "src/eastwest/trains.py",
+        'isinstance(term, tuple) and term[0] == "c"',
+        "isinstance(term, tuple)",
+        ("tests/test_trains.py::test_errors_carry_line_and_column[car-functor]",),
+    ),
+    Mutant(
+        "load-functor-unchecked",
+        "src/eastwest/trains.py",
+        'isinstance(load, tuple) and load[0] == "l"',
+        "isinstance(load, tuple)",
+        ("tests/test_trains.py::test_errors_carry_line_and_column[load-functor]",),
+    ),
+    Mutant(
+        "error-rescan-counts-comments",
+        "src/eastwest/trains.py",
+        'for m in _TOKEN_RE.finditer(source) if source[m.start()] != "%"]',
+        "for m in _TOKEN_RE.finditer(source)]",
+        (
+            "tests/test_trains.py::test_errors_carry_line_and_column[after-comment-line]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[end-after-trailing-comment]",
+        ),
+    ),
+    Mutant(
+        "kind-without-isdecimal",
+        "src/eastwest/trains.py",
+        "if first.isdecimal():",
+        'if "0" <= first <= "9":',
+        ("tests/test_trains.py::test_non_ascii_decimal_digits_are_integers_on_both_readers",),
     ),
     Mutant(
         "load-counts-short",
