@@ -21,12 +21,14 @@ costs 1 + its arity and `not` adds 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
-from .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size
+from .trains import CAR_FIELDS, Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size
 
 
 # scaffold literals binding the car variables of a fragment
@@ -102,26 +104,37 @@ _INFRONT = _SAME_CAR + _N_CAR * _N_CAR
 _TRAIN = _INFRONT + _N_CAR * _N_CAR
 _VECTOR_BYTES = (_TRAIN + len(TRAIN_PREDICATES) + 7) // 8
 
-# the unary entries that train_<s> repeats: "some car carries s" is <s>_load
+# the unary entries that train_<s> repeats: "some car carries s" is <s>_load;
+# they are contiguous and in LOAD_SHAPES order, so one shift moves them all
 _CARRIED = [[p.name for p in CAR_PREDICATES].index(f"{s}_load") for s in LOAD_SHAPES]
-
-
-def _car_bits() -> dict[str, dict]:
-    """Per car attribute, value -> (mask, spread) over the car predicates the
-    value satisfies: bit i of mask and bit 28*i of spread for each such i."""
-    tables: dict[str, dict] = {}
-    for i, p in enumerate(CAR_PREDICATES):
-        table = tables.setdefault(p.attribute, {})
-        for value in p.values:
-            mask, spread = table.get(value, (0, 0))
-            table[value] = (mask | 1 << i, spread | 1 << _N_CAR * i)
-    return tables
-
-
-_CAR_BITS = _car_bits()
-_car_values = attrgetter(*_CAR_BITS)  # one car's values of the _CAR_BITS attributes
-_NO_BITS = (0, 0)  # a value no car predicate holds for: Car.load of None
+_LOAD_MASK = (1 << len(LOAD_SHAPES)) - 1
 _LENGTH_BITS = {n: 1 << _TRAIN + k for k, n in enumerate(TRAIN_LENGTHS)}
+
+
+# the car fields that key each of predicate_bits' two lookup tables; every
+# car predicate reads the fields of one of them (Car.load reads the second's)
+_TABLE_FIELDS = (("shape", "length", "walls", "roof"), ("axles", "load_shape", "load_count"))
+_table_keys = tuple(attrgetter(*fields) for fields in _TABLE_FIELDS)
+
+
+@functools.cache  # built at the first train: the import and the feature table never need it
+def _car_tables() -> tuple[dict, ...]:
+    """Per `_TABLE_FIELDS` entry, the values of those fields for every car `Car`
+    accepts -> (mask, spread) over the car predicates they satisfy: bit i of
+    mask and bit 28*i of spread for each such i."""
+    domains = dict(CAR_FIELDS)
+    tables = []
+    for fields in _TABLE_FIELDS:
+        table = {}
+        for values in product(*(domains[f] for f in fields)):
+            car = SimpleNamespace(**dict(zip(fields, values)))
+            if "load_count" in fields:
+                car.load = Car.load.fget(car)
+            # the other table's attributes read None, which no row holds for
+            held = [i for i, p in enumerate(CAR_PREDICATES) if getattr(car, p.attribute, None) in p.values]
+            table[values] = sum(1 << i for i in held), sum(1 << _N_CAR * i for i in held)
+        tables.append(table)
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -240,23 +253,25 @@ def predicate_bits(train: Train) -> int:
 
     Bit `k` of the int is slot `k` of the layout [28 unary | 28x28 same-car |
     28x28 infront | 9 train]; a feature's value is the bit at its `slot`.
+
+    A car's mask (bit i for each car predicate i it satisfies) and spread
+    (bit 28*i for each) are the ORs of its entries in the two tables of
+    `_car_tables`, built at the first call; train_<s> is the <s>_load bits
+    of the unary block, moved into the train block by one shift.
     """
-    bits = 0
-    in_front = 0  # spread of the previous car
+    (front, back), (front_key, back_key) = _car_tables(), _table_keys
+    bits = in_front = 0  # in_front: the spread of the previous car
     for car in train.cars:
-        mask = spread = 0
-        for table, value in zip(_CAR_BITS.values(), _car_values(car)):
-            m, s = table.get(value, _NO_BITS)
-            mask |= m
-            spread |= s
+        m1, s1 = front[front_key(car)]
+        m2, s2 = back[back_key(car)]
+        mask, spread = m1 | m2, s1 | s2  # the two tables share no predicate
         # spread * mask is the OR of mask << 28*i over the predicates i that
-        # set bit 28*i of spread: the copies fill disjoint rows, so nothing carries
-        bits |= mask | spread * mask << _SAME_CAR | in_front * mask << _INFRONT
+        # set bit 28*i of spread: the copies fill disjoint rows, so nothing
+        # carries, and the same-car and infront blocks do not overlap
+        bits |= mask | (spread << _SAME_CAR | in_front << _INFRONT) * mask
         in_front = spread
     bits |= _LENGTH_BITS.get(len(train.cars), 0)
-    for k, i in enumerate(_CARRIED):
-        bits |= (bits >> i & 1) << _TRAIN + len(TRAIN_LENGTHS) + k
-    return bits
+    return bits | (bits >> _CARRIED[0] & _LOAD_MASK) << _TRAIN + len(TRAIN_LENGTHS)
 
 
 def evaluate_features(trains: Sequence[Train], table: Sequence[FeatureSpec]) -> FeatureMatrix:

@@ -1,19 +1,25 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eastwest import features
 from eastwest.features import (
     CAR_PREDICATES,
+    TRAIN_LENGTHS,
     FeatureMatrix,
     build_feature_table,
     evaluate_features,
     feature_index,
+    predicate_bits,
 )
 from eastwest.theory import complexity
-from eastwest.trains import CAR_FIELDS, LABELS, Car, Train, random_trains
+from eastwest.trains import CAR_FIELDS, LABELS, LOAD_SHAPES, Car, Train, random_trains
 
 from oracles import brute_force_value, reference_predicate_vector
+from test_cli import _fresh_python
 from test_theory import SUBSET_TABLES
 
 
@@ -136,6 +142,48 @@ def test_predicate_bits_match_the_numpy_vector_and_brute_force(full_table, train
         row = evaluate_features([train], table).values[0]
         assert list(row) == [vector[spec.slot] for spec in table]
         assert list(row) == [brute_force_value(spec, train) for spec in table]
+
+
+def _train(*rows):
+    return Train("t1", "east", tuple(Car(i, *fields) for i, fields in enumerate(rows, 1)))
+
+
+def test_predicate_bits_match_the_numpy_vector_on_every_car():
+    # every car Car accepts, alone, in front of a fixed car and behind it
+    other = ("rectangle", "long", "double", "flat", 3, "circle", 2)
+    for fields in product(*(domain for _, domain in CAR_FIELDS)):
+        for train in (_train(fields), _train(fields, other), _train(other, fields)):
+            vector = np.packbits(reference_predicate_vector(train), bitorder="little")
+            assert predicate_bits(train) == int.from_bytes(vector.tobytes(), "little"), train
+
+
+def test_carried_loads_are_one_run_of_unary_bits_in_load_shape_order():
+    # predicate_bits moves every train_<s> bit with one shift of the unary block
+    names = [p.name for p in CAR_PREDICATES]
+    first = features._CARRIED[0]
+    assert names[first:first + len(LOAD_SHAPES)] == [f"{s}_load" for s in LOAD_SHAPES]
+
+
+@pytest.mark.parametrize("n_cars", range(1, 7))
+def test_train_length_features_hold_for_their_length_only(full_table, n_cars):
+    # 1, 5 and 6 cars hold none of train_2/3/4
+    car = ("ellipse", "short", "not_double", "none", 2, "circle", 0)
+    row = evaluate_features([_train(*[car] * n_cars)], full_table).values[0]
+    for n in TRAIN_LENGTHS:
+        assert row[feature_index(full_table, f"train_{n}")] == (n == n_cars)
+
+
+def test_car_tables_wait_for_the_first_train():
+    # what perfbench's setup_s times: the import and the full feature table
+    out = _fresh_python(
+        "import sys, eastwest.cli\n"
+        "from eastwest import features\n"
+        "features.build_feature_table('full')\n"
+        "print(features._car_tables.cache_info().currsize, 'numpy' in sys.modules)"
+    )
+    assert (out.returncode, out.stdout) == (0, "0 False\n"), out.stderr
+    predicate_bits(_train(("ellipse", "short", "not_double", "none", 2, "circle", 0)))
+    assert features._car_tables.cache_info().currsize == 1
 
 
 def test_labels_and_ids(trains20, matrix20):

@@ -359,8 +359,8 @@ MUTANTS = (
     Mutant(
         "features-imports-numpy",
         "src/eastwest/features.py",
-        "from .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
-        "import numpy as np\n\nfrom .trains import Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
+        "from .trains import CAR_FIELDS, Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
+        "import numpy as np\n\nfrom .trains import CAR_FIELDS, Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size\n",
         (
             "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[score-syntax-error]",
             "tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[features-text]",
@@ -403,6 +403,57 @@ MUTANTS = (
         "in_front = spread\n",
         "in_front = spread if len(train.cars) < 5 else 0\n",
         ("tests/test_features.py::test_predicate_bits_match_the_numpy_vector_and_brute_force",),
+    ),
+    Mutant(
+        "train-length-clamped-to-4",
+        "src/eastwest/features.py",
+        "_LENGTH_BITS.get(len(train.cars), 0)",
+        "_LENGTH_BITS.get(min(len(train.cars), 4), 0)",
+        (
+            "tests/test_features.py::test_train_length_features_hold_for_their_length_only[5]",
+            "tests/test_features.py::test_train_length_features_hold_for_their_length_only[6]",
+        ),
+    ),
+    Mutant(
+        "spread-row-0-dropped",
+        "src/eastwest/features.py",
+        "sum(1 << _N_CAR * i for i in held)",
+        "sum(1 << _N_CAR * i for i in held if i)",
+        (
+            "tests/test_features.py::test_predicate_bits_match_the_numpy_vector_on_every_car",
+            "tests/test_features.py::test_matrix_matches_brute_force_oracle",
+        ),
+    ),
+    Mutant(
+        "gather-shift-off-by-one",
+        "src/eastwest/features.py",
+        "values >>= (slots & 7).astype(np.uint8)",
+        "values >>= (slots & 7 ^ 1).astype(np.uint8)",
+        (
+            "tests/test_features.py::test_matrix_matches_brute_force_oracle",
+            "tests/test_features.py::test_first_train_feature_values",
+        ),
+    ),
+    Mutant(
+        "infront-from-the-current-car",
+        "src/eastwest/features.py",
+        "in_front << _INFRONT) * mask",
+        "spread << _INFRONT) * mask",
+        ("tests/test_features.py::test_predicate_bits_match_the_numpy_vector_on_every_car",),
+    ),
+    Mutant(
+        "carried-loads-shifted-one-bit-off",
+        "src/eastwest/features.py",
+        "bits >> _CARRIED[0] & _LOAD_MASK",
+        "bits >> _CARRIED[0] + 1 & _LOAD_MASK",
+        ("tests/test_features.py::test_predicate_bits_match_the_numpy_vector_on_every_car",),
+    ),
+    Mutant(
+        "car-tables-built-at-import",
+        "src/eastwest/features.py",
+        "    return tuple(tables)\n",
+        "    return tuple(tables)\n\n\n_car_tables()\n",
+        ("tests/test_features.py::test_car_tables_wait_for_the_first_train",),
     ),
     Mutant(
         "predict-drops-a-row",
