@@ -19,9 +19,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
-# the scorer lives in trains, which loads without numpy; finalize calls it by
-# its name here, and ProgramSyntaxError is imported back for callers of both
-from .trains import EAST, WEST, ProgramSyntaxError, Train, complexity
+# the scorer lives in trains, which loads without numpy; finalize calls it by this name
+from .trains import EAST, WEST, Train, complexity
 from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list

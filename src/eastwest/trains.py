@@ -252,15 +252,11 @@ class _ProgParser(_Parser):
             self.parse_unit()
 
     def parse_unit(self):
-        # a unit with ':-' is a clause; a bare comma-list is a fragment
+        # a clause, or a fact when there is no ':-'
         self.parse_literal()
         if self.peek() == ":-":
             self.next()
             self.parse_body()
-        else:
-            while self.peek() == ",":
-                self.next()
-                self.parse_literal()
         self.expect(".")
 
     def parse_body(self):
@@ -298,10 +294,8 @@ def complexity(program_text: str) -> int:
     """Size of a program: its count of `:-`, `;`, atom, variable and integer tokens.
 
     This counts every clause, operator (`;`, `not`), predicate, variable and
-    constant occurrence.  Units without `:-` are bodiless fragments, which
-    is how individual feature fragments are priced.  Raises
-    ProgramSyntaxError, naming a line and a column, for text outside the
-    emitter's grammar.
+    constant occurrence, in clauses and facts.  Raises ProgramSyntaxError,
+    naming a line and a column, for text outside the emitter's grammar.
     """
     try:
         parser = _ProgParser(program_text)

@@ -328,17 +328,11 @@ def node_count(tree: Tree) -> int:
     return 1 + node_count(node.on_true) + node_count(node.on_false)
 
 
-def _cost_sum(node, costs, total=0):
-    # adds in pre-order from 0, as sum() over the internal nodes would
-    if isinstance(node, Leaf):
-        return total
-    total = _cost_sum(node.on_true, costs, total + costs[node.feature])
-    return _cost_sum(node.on_false, costs, total)
-
-
 def test_cost(tree: Tree, costs: np.ndarray) -> int:
     """Sum of feature costs over all internal nodes, one per node."""
-    return int(_cost_sum(tree, costs))
+    if isinstance(tree, Leaf):
+        return 0
+    return int(costs[tree.feature]) + test_cost(tree.on_true, costs) + test_cost(tree.on_false, costs)
 
 
 def fitness(
@@ -350,6 +344,10 @@ def fitness(
     """Score a tree: static test cost plus error_rate * error_cost."""
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
+    costs = np.asarray(costs)
+    whole = costs.dtype.kind in "iu" or np.all(np.isfinite(costs) & (np.floor(costs) == costs))
+    if not whole or costs.size and costs.min() < 0:
+        raise ValueError("costs must be finite whole numbers >= 0, each the size of a Prolog fragment")
     predictions = predict_all(tree, matrix)
     errors = int((predictions != matrix.labels).sum())
     rate = errors / matrix.n_trains if matrix.n_trains else 0.0

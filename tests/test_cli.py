@@ -263,6 +263,7 @@ ERROR_TEXT = {
     "usage-error": "error: eastwest induce: argument --pop-size: invalid int value: 'x'\n",
     "line-break-in-an-argument": "unrecognized arguments: a\\nb\n",
     "nul-in-data-path": "cannot read \x00: embedded null byte\n",
+    "bare-comma-list": "line 1, column 14: expected '.', found ','\n",
 }
 
 NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n% \xff\n"
@@ -318,6 +319,7 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         lambda d: ["induce", "--data", "\x00"],
         lambda d: ["induce", "--data", TRAINS20, "--emit-dir", "\x00"] + FAST,
         lambda d: ["gen-trains", "--out", "\x00"],
+        lambda d: ["score", _write(d / "bare.pl", "has_car(T, C),\n    short(C).\n")],
     ],
     ids=[
         "empty-features-file",
@@ -351,6 +353,7 @@ NOT_UTF8 = b"eastbound([c(1,rectangle,short,not_double,none,2,l(circle,1))]).\n%
         "nul-in-data-path",
         "nul-in-emit-dir",
         "nul-in-gen-trains-out",
+        "bare-comma-list",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, request, case):

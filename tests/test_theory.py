@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from eastwest.features import build_feature_table, evaluate_features, feature_index
 from eastwest.theory import (
-    ProgramSyntaxError,
     Theory,
     agreement,
     classify,
@@ -21,7 +20,7 @@ from eastwest.theory import (
     theory_to_json,
     tree_to_dnf,
 )
-from eastwest.trains import random_trains
+from eastwest.trains import ProgramSyntaxError, random_trains
 from eastwest.tree import (
     B_MAX,
     CF_MAX,
@@ -249,6 +248,9 @@ def test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost(ful
     assert complexity(text) == reference_program_size(dnf, full_table)
 
 
+THEORY_OFFSET = 3  # the clause neck, the eastbound atom and the train variable
+
+
 @pytest.mark.parametrize(
     "fragment,score",
     [
@@ -262,18 +264,18 @@ def test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost(ful
     ],
 )
 def test_fragment_scores_match_feature_costs(fragment, score):
-    assert complexity(fragment) == score
+    # the scorer reads clauses and facts, so a fragment is scored as a clause body
+    assert complexity(f"eastbound(T) :- {fragment}") - THEORY_OFFSET == score
 
 
 def test_fragment_scores_equal_table_costs(full_table):
-    # the cost column of the feature table is the fragment score of the
-    # feature's own body rendered without a clause head
-    theory_offset = 3  # clause + eastbound predicate + train variable
+    # the cost column of the feature table is the score of the feature's own
+    # rendered body, less the clause head and neck
     for spec in full_table:
         rendered = finalize(Theory(dnf=(((spec.index, 1),),)), full_table).rendered
         body = rendered.split(":-", 1)[1].strip().rstrip(".")
-        assert complexity(body + ".") == spec.cost
-        assert complexity(rendered) == spec.cost + theory_offset
+        assert complexity(f"eastbound(T) :- {body}.") - THEORY_OFFSET == spec.cost
+        assert complexity(rendered) == spec.cost + THEORY_OFFSET
 
 
 def test_complexity_of_empty_and_commented_programs():

@@ -763,6 +763,15 @@ def test_fitness_rejects_costs_of_another_table(matrix20, reference_tree, costs)
         fitness(reference_tree, matrix20, costs)
 
 
+@pytest.mark.parametrize("bad", [1.6, np.inf, np.nan, -1], ids=["fraction", "inf", "nan", "negative"])
+def test_fitness_rejects_costs_that_are_not_whole_numbers_from_zero(matrix20, costs20, reference_tree, bad):
+    # a cost is the size of a Prolog fragment; the bad entry sits on the root's feature
+    costs = costs20.astype(type(bad))
+    costs[reference_tree.feature] = bad
+    with pytest.raises(ValueError, match="costs"):
+        fitness(reference_tree, matrix20, costs)
+
+
 # --- serialization ----------------------------------------------------------
 
 def test_tree_dict_round_trip(reference_tree, full_table):

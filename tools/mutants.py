@@ -10,9 +10,10 @@ fresh temporary directory outside the checkout, replaces the mutant's old text
 (which must occur exactly once in its file, so a refactor that moves the code
 fails here loudly and the mutant must be re-targeted) with its new text, and
 runs each of the mutant's tests there in its own pytest call. The mutant is
-killed when every one of them fails. A control copy with no replacement runs
-every named test and must pass. The exit status is 0 only when the control
-passes and every mutant is killed.
+killed when every one of them fails. A pytest call that runs past TIMEOUT_S
+seconds is stopped and reported as an error, never as a kill. A control copy
+with no replacement runs every named test and must pass. The exit status is 0
+only when the control passes and every mutant is killed.
 
 A change that checks a new optimisation with a hand-made mutant adds it here.
 """
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 120  # per pytest call, so a mutant that makes a loop spin cannot hold the run
 
 
 @dataclass(frozen=True)
@@ -475,6 +477,65 @@ MUTANTS = (
             "tests/test_trains.py::test_tokenize_matches_named_group_reference",
         ),
     ),
+    Mutant(
+        "prune-reuses-a-leaf-without-a-recount",
+        "src/eastwest/tree.py",
+        "(node if node.n_examples == n else Leaf(node.label, n))",
+        "node",
+        ("tests/test_tree.py::test_prune_recounts_a_branch_that_receives_no_example",),
+    ),
+    Mutant(
+        "prune-keeps-a-node-whose-children-changed",
+        "src/eastwest/tree.py",
+        "return memo.node(node.feature, on_true, on_false), subtree_est",
+        "return node, subtree_est",
+        ("tests/test_tree.py::test_induce_matches_reference_across_word_boundaries[63]",),
+    ),
+    Mutant(
+        "words-read-big-endian",
+        "src/eastwest/tree.py",
+        'packed.view("<u8")',
+        'packed.view(">u8")',
+        ("tests/test_tree.py::test_gain_perfect_split",),
+    ),
+    Mutant(
+        "one-word-too-few",
+        "src/eastwest/tree.py",
+        "n_words = -(-matrix.n_trains // 64)",
+        "n_words = max(matrix.n_trains // 64, 1)",
+        ("tests/test_tree.py::test_words_hold_each_column_row_by_row_with_zero_padding[65]",),
+    ),
+    Mutant(
+        "pad-bits-set",
+        "src/eastwest/tree.py",
+        "np.zeros((matrix.n_features, 8 * n_words), dtype=np.uint8)",
+        "np.full((matrix.n_features, 8 * n_words), 255, dtype=np.uint8)",
+        ("tests/test_tree.py::test_words_hold_each_column_row_by_row_with_zero_padding[1]",),
+    ),
+    Mutant(
+        "over-long-integer-escapes",
+        "src/eastwest/trains.py",
+        "            try:\n"
+        "                return int(tok)\n"
+        "            except ValueError:  # beyond the interpreter's int-conversion limit\n"
+        '                raise self.error(f"integer of {len(tok)} digits is too long", self.i - 1) from None\n',
+        "            return int(tok)\n",
+        ("tests/test_trains.py::test_errors_carry_line_and_column[over-long-integer]",),
+    ),
+    Mutant(
+        "fractional-costs-admitted",
+        "src/eastwest/tree.py",
+        'whole = costs.dtype.kind in "iu" or np.all(np.isfinite(costs) & (np.floor(costs) == costs))',
+        "whole = True",
+        ("tests/test_tree.py::test_fitness_rejects_costs_that_are_not_whole_numbers_from_zero[fraction]",),
+    ),
+    Mutant(
+        "test-cost-skips-the-false-branch",
+        "src/eastwest/tree.py",
+        "int(costs[tree.feature]) + test_cost(tree.on_true, costs) + test_cost(tree.on_false, costs)",
+        "int(costs[tree.feature]) + test_cost(tree.on_true, costs)",
+        ("tests/test_tree.py::test_zero_error_fitness_equals_node_cost_sum",),
+    ),
 )
 
 
@@ -496,9 +557,16 @@ def _apply(dest: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def _pytest(mutant: Mutant | None, groups: list[tuple[str, ...]]) -> list[int]:
+def _run(command: list[str], cwd: Path, env: dict[str, str]) -> int | None:
+    try:
+        return subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _pytest(mutant: Mutant | None, groups: list[tuple[str, ...]]) -> list[int | None]:
     """pytest's exit status on each group of tests, in one fresh copy with
-    `mutant` applied."""
+    `mutant` applied; None for a call that ran past TIMEOUT_S."""
     with tempfile.TemporaryDirectory(prefix="eastwest-mutant-") as tmp:
         dest = Path(tmp)
         _copy_tree(dest)
@@ -506,13 +574,14 @@ def _pytest(mutant: Mutant | None, groups: list[tuple[str, ...]]) -> list[int]:
             _apply(dest, mutant)
         env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-        return [subprocess.run([*command, *tests], cwd=dest, env=env, capture_output=True).returncode
-                for tests in groups]
+        return [_run([*command, *tests], dest, env) for tests in groups]
 
 
-def _verdict(status: int) -> str:
+def _verdict(status: int | None) -> str:
     # 1 is "tests failed"; any other status (an import or collection error,
-    # an unknown test id) is not a kill that a test made
+    # an unknown test id, a timeout) is not a kill that a test made
+    if status is None:
+        return "ERROR (timed out)"
     return "killed" if status == 1 else ("SURVIVED" if status == 0 else f"ERROR (pytest exit {status})")
 
 
@@ -520,7 +589,8 @@ def main() -> int:
     control = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     start = time.perf_counter()
     [status] = _pytest(None, [control])
-    print(f"control: {'passed' if status == 0 else f'FAILED (pytest exit {status})'} "
+    failure = "timed out" if status is None else f"pytest exit {status}"
+    print(f"control: {'passed' if status == 0 else f'FAILED ({failure})'} "
           f"[{len(control)} tests, {time.perf_counter() - start:.1f} s]")
     ok = status == 0
     for mutant in MUTANTS:
