@@ -4,10 +4,11 @@ Reports embed the full configuration and seed, and contain no timestamps,
 so a rerun with the same inputs is byte-identical.
 
 Only `features` and `trains` are imported here, and neither loads numpy, so
-`score`, `features`, `--help` and usage errors start without it.  The
-commands that learn or classify import the learner (`ga`, `theory`, `tree`)
-in their own bodies, and call it through the module, as the tests and the
-benchmark's hooks replace module attributes.
+`score`, `features`, `--help` and usage errors start without it.  `induce`
+and `multi` import the learner (`ga`, `theory`, `tree`) in their own
+bodies; `agree` imports `theory` alone, which loads neither numpy nor
+`tree` until a tree or a matrix is read.  Both call it through the module,
+as the tests and the benchmark's hooks replace module attributes.
 """
 
 from __future__ import annotations

@@ -41,18 +41,11 @@ def _literal_size(template: str) -> int:
 
 
 @dataclass(frozen=True)
-class Predicate:
-    """A train predicate, or the part common to every predicate: its name and
-    its cheapest literal form."""
-
-    name: str
-    template: str  # literal with {0} standing for the car or train variable
-
-
-@dataclass(frozen=True)
-class CarPredicate(Predicate):
+class CarPredicate:
     """A car predicate: it holds when the car's `attribute` is one of `values`."""
 
+    name: str
+    template: str  # its cheapest literal, with {0} standing for the car variable
     attribute: str  # a Car field or property
     values: tuple
 
@@ -90,10 +83,11 @@ CAR_PREDICATES: tuple[CarPredicate, ...] = (
 
 TRAIN_LENGTHS = (2, 3, 4)
 
-# train_<n>: the train has n cars; train_<s>: some car carries a load of shape s
-TRAIN_PREDICATES: tuple[Predicate, ...] = tuple(
-    [Predicate(f"train_{n}", f"len1({{0}}, {n})") for n in TRAIN_LENGTHS]
-    + [Predicate(f"train_{s}", f"has_load1({{0}}, {s})") for s in LOAD_SHAPES]
+# (name, literal over T): train_<n>, the train has n cars; train_<s>, some
+# car carries a load of shape s
+TRAIN_PREDICATES: tuple[tuple[str, str], ...] = tuple(
+    [(f"train_{n}", f"len1(T, {n})") for n in TRAIN_LENGTHS]
+    + [(f"train_{s}", f"has_load1(T, {s})") for s in LOAD_SHAPES]
 )
 
 
@@ -171,8 +165,7 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
         )
     first = [p.template for p in CAR_PREDICATES]
     second = [t.replace("{0}", "{1}") for t in first]  # the literal on an infront pair's second car
-    train = [p.template.format("T") for p in TRAIN_PREDICATES]
-    templates = (HAS_CAR_TEMPLATE, INFRONT_TEMPLATE, *first, *second, *train)
+    templates = (HAS_CAR_TEMPLATE, INFRONT_TEMPLATE, *first, *second, *(t for _, t in TRAIN_PREDICATES))
     size_of = {t: _literal_size(t) for t in templates}.__getitem__  # each template sized once
     cars = list(enumerate(CAR_PREDICATES))
     # (kind, name, fragment, components, slot)
@@ -187,7 +180,7 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
          _INFRONT + i * _N_CAR + j)
         for (i, p), (j, q) in product(cars, repeat=2)
     ]
-    specs += [("train", p.name, (train[k],), (p.name,), _TRAIN + k) for k, p in enumerate(TRAIN_PREDICATES)]
+    specs += [("train", name, (t,), (name,), _TRAIN + k) for k, (name, t) in enumerate(TRAIN_PREDICATES)]
 
     if feature_set == "full":
         keep = specs

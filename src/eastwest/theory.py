@@ -16,12 +16,9 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
 # the scorer lives in trains, which loads without numpy; finalize calls it by this name
 from .trains import EAST, WEST, Train, complexity
-from .tree import Leaf, Tree
 
 # a literal is (feature index, required value 0/1); a conjunction is a list
 Literal = tuple[int, int]
@@ -39,6 +36,8 @@ class Theory:
 
 def tree_to_dnf(tree: Tree) -> Theory:
     """One conjunction per root-to-east-leaf path."""
+    from .tree import Leaf  # the learner and numpy load only where a tree is read
+
     conjunctions: list[Conjunction] = []
 
     def walk(node: Tree, path: tuple[Literal, ...]):
@@ -55,6 +54,8 @@ def tree_to_dnf(tree: Tree) -> Theory:
 
 def evaluate_dnf(dnf: Sequence[Conjunction], values: np.ndarray) -> np.ndarray:
     """Boolean east-predictions of a DNF on feature-matrix rows."""
+    import numpy as np
+
     out = np.zeros(values.shape[0], dtype=bool)
     for conj in dnf:
         sat = np.ones(values.shape[0], dtype=bool)

@@ -29,7 +29,9 @@ _GAIN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class BiasVector:
-    """Search genome: one bias weight per feature plus omega and cf."""
+    """Search genome: one bias weight per feature plus omega and cf.  Raises
+    ValueError for a value out of its range, naming omega or cf when either
+    is not a number."""
 
     weights: np.ndarray
     omega: float
@@ -42,16 +44,29 @@ class BiasVector:
             raise ValueError("bias weights must be a 1-d vector")
         if w.size and not (w.min() >= 0 and w.max() <= B_MAX):  # NaN fails both comparisons
             raise ValueError(f"bias weights must lie in [0, {B_MAX}]")
-        if not OMEGA_MIN <= self.omega <= OMEGA_MAX:
+        if not _within("omega", self.omega, OMEGA_MIN, OMEGA_MAX):
             raise ValueError(f"omega must lie in [{OMEGA_MIN:g}, {OMEGA_MAX:g}]")
-        if not CF_MIN <= self.cf <= CF_MAX:
+        if not _within("cf", self.cf, CF_MIN, CF_MAX):
             raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
+
+
+def _within(name: str, value, low: float, high: float) -> bool:
+    """Whether low <= value <= high; a ValueError naming `name` when `value`
+    does not compare with numbers (a string, None)."""
+    try:
+        return low <= value <= high
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    label: str
+    label: str  # EAST or WEST, checked when the leaf is built, never when a tree is walked
     n_examples: int = 0
+
+    def __post_init__(self):
+        if self.label not in (EAST, WEST):
+            raise ValueError(f"leaf label must be {EAST!r} or {WEST!r}, got {self.label!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,8 +309,9 @@ def _prune(node, cf, s, memo):
 
 def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | None = None) -> Tree:
     """Pessimistic leaf-replacement pruning at confidence level cf (percent);
-    the result is computed once per tree object and cf in the memo."""
-    if not CF_MIN <= cf <= CF_MAX:
+    the result is computed once per tree object and cf in the memo.  Raises
+    ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX]."""
+    if not _within("cf", cf, CF_MIN, CF_MAX):
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
     memo = _memo_for(matrix, memo)
     key = (id(tree), cf)

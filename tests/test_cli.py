@@ -579,7 +579,8 @@ def test_cli_import_does_not_load_scipy_special():
     assert not _cli_import_loads("scipy.special")
 
 
-# main in a fresh interpreter; with numpy blocked, any import of it raises
+# main in a fresh interpreter, then whether numpy and the learner's tree
+# module were loaded; with numpy blocked, any import of it raises
 # ImportError, which main does not catch
 FRESH_MAIN = """
 import sys
@@ -587,40 +588,47 @@ if sys.argv[1] == "block-numpy":
     sys.modules["numpy"] = None
 from eastwest.cli import main
 code = main(sys.argv[2:])
-print(sys.modules.get("numpy") is not None)
+print(sys.modules.get("numpy") is not None, "eastwest.tree" in sys.modules)
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
     "case",
-    ["score-rendered", "score-syntax-error", "features-text", "features-json", "usage-error"],
+    ["score-rendered", "score-syntax-error", "features-text", "features-json", "usage-error",
+     "agree", "agree-unknown-feature"],
 )
 def test_score_features_and_usage_errors_run_without_numpy(capsys, tmp_path, full_table, case):
-    rendered = finalize(Theory(dnf=(
+    theory = finalize(Theory(dnf=(
         ((feature_index(full_table, "closed"), 1), (feature_index(full_table, "short"), 1)),
         ((feature_index(full_table, "closed_infront_peaked_roof"), 1), (feature_index(full_table, "train_4"), 0)),
-    )), full_table).rendered
-    (tmp_path / "program.pl").write_text(rendered)
+    )), full_table)
+    (tmp_path / "program.pl").write_text(theory.rendered)
     (tmp_path / "bad.pl").write_text("eastbound(T) :-\n    has_car(T, C), [C].\n")
+    (tmp_path / "theory.json").write_text(theory_to_json(theory, full_table))
+    (tmp_path / "short_closed.json").write_text('{"dnf": [[["short_closed", 1]]]}')
+    (tmp_path / "unknown.json").write_text('{"dnf": [[["north", 1]]]}')
     argv = {
         "score-rendered": ["score", str(tmp_path / "program.pl")],
         "score-syntax-error": ["score", str(tmp_path / "bad.pl")],
         "features-text": ["features"],
         "features-json": ["features", "--format", "json"],
         "usage-error": ["induce", "--data", TRAINS20, "--pop-size", "x"],
+        "agree": ["agree", str(tmp_path / "theory.json"), str(tmp_path / "short_closed.json"), "--data", TRAINS20],
+        "agree-unknown-feature": ["agree", str(tmp_path / "theory.json"), str(tmp_path / "unknown.json"),
+                                  "--data", TRAINS20],
     }[case]
     fresh = _fresh_python(FRESH_MAIN, "block-numpy", *argv)
     code, out, err = run(capsys, argv)
-    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "False\n", err)
-    assert code == (0 if case in ("score-rendered", "features-text", "features-json") else 2)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "False False\n", err)
+    assert code == (0 if case in ("score-rendered", "features-text", "features-json", "agree") else 2)
 
 
 def test_induce_in_a_fresh_interpreter_loads_numpy(capsys):
     argv = ["induce", "--data", TRAINS20, "--features", "unary-train", "--pop-size", "2", "--generations", "1"]
     fresh = _fresh_python(FRESH_MAIN, "allow-numpy", *argv)
     code, out, err = run(capsys, argv)
-    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "True\n", err)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out + "True True\n", err)
     assert "best tree:" in out
 
 

@@ -1,6 +1,8 @@
+import functools
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eastwest.ga
+from eastwest.cli import data_path
 from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features
 from eastwest.ga import (
     CROSSOVER_RATE,
@@ -21,8 +24,11 @@ from eastwest.ga import (
     genome_to_bias,
     history_to_csv,
 )
-from eastwest.trains import Car, Train, random_trains
-from eastwest.tree import BiasVector, InductionMemo, Leaf, _majority, fitness, induce_tree, tree_signature
+from eastwest.theory import finalize, simplify_dnf, tree_to_dnf
+from eastwest.trains import Car, Train, load_trains, random_trains
+from eastwest.tree import (
+    ERROR_COST, BiasVector, InductionMemo, Leaf, _majority, fitness, induce_tree, tree_signature,
+)
 
 from oracles import reference_evolve, reference_induce
 
@@ -424,3 +430,65 @@ def test_leaves_are_shared_per_example_subset(monkeypatch, matrix20, full_table,
             assert memo.leaf(s) is leaf
         shared = {id(leaf) for leaf in memo.leaves.values()}
         assert all(id(leaf) in shared for _, tree in calls[start:] for leaf in _leaves(tree))
+
+
+# Invariants the benchmark's per-seed goldens assume: the learner reads the
+# trains as a set, and only the ranks of the fitnesses steer the search.
+METAMORPHIC_CASES = [(data, seed) for data in ("trains20", "random60", "random150") for seed in range(3)]
+
+
+@functools.cache
+def _metamorphic_trains(data: str) -> tuple:
+    if data == "trains20":
+        return tuple(load_trains(data_path("trains20.pl")))
+    return tuple(random_trains(int(data.removeprefix("random")), 1))
+
+
+def _learn(trains, seed, scale=1):
+    """(every tree induced, in order, then the history and the program text) of
+    a pop 20 x 5 run at GA seed `seed`, with every feature cost and the error
+    cost times `scale`."""
+    table = build_feature_table("full")
+    matrix = evaluate_features(trains, table)
+    config = GaConfig(population_size=20, generations=5, rng_seed=seed, error_cost=ERROR_COST * scale)
+    induce, trees = eastwest.ga.induce_tree, []
+
+    def recording(*args):
+        trees.append(induce(*args))
+        return trees[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eastwest.ga, "induce_tree", recording)
+        result = evolve(matrix, np.array([s.cost for s in table]) * scale, config)
+    assert result.best_tree in trees
+    program = finalize(simplify_dnf(tree_to_dnf(result.best_tree), matrix), table).rendered
+    return trees, result.history, program
+
+
+@functools.cache
+def _learned(data, seed):
+    return _learn(_metamorphic_trains(data), seed)
+
+
+@pytest.mark.parametrize("data, seed", METAMORPHIC_CASES)
+def test_permuting_the_trains_changes_no_result(data, seed):
+    trains = _metamorphic_trains(data)
+    shuffled = [trains[i] for i in np.random.default_rng(seed).permutation(len(trains))]
+    assert shuffled != list(trains)
+    trees, history, program = _learn(shuffled, seed)
+    want_trees, want_history, want_program = _learned(data, seed)
+    assert trees == want_trees  # Leaf equality also compares n_examples
+    assert history_to_csv(history) == history_to_csv(want_history)
+    assert program == want_program
+
+
+@pytest.mark.parametrize("data, seed", METAMORPHIC_CASES)
+def test_costs_and_error_cost_times_4_scale_only_the_fitnesses(data, seed):
+    """A power of two keeps every float exact, so the history is exactly 4x."""
+    trees, history, program = _learn(_metamorphic_trains(data), seed, scale=4)
+    want_trees, want_history, want_program = _learned(data, seed)
+    assert trees == want_trees
+    assert program == want_program
+    assert history == [
+        replace(h, best=4 * h.best, mean=4 * h.mean, best_test_cost=4 * h.best_test_cost) for h in want_history
+    ]

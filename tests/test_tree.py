@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -457,6 +458,22 @@ def test_greedy_root_maximizes_selection_criterion():
             )
 
 
+@pytest.mark.parametrize(
+    "omega, cf, name",
+    [("a", 50.0, "omega"), (None, 50.0, "omega"), (0.5, "50", "cf"), (0.5, None, "cf")],
+    ids=["omega-string", "omega-none", "cf-string", "cf-none"],
+)
+def test_bias_vector_names_an_omega_or_cf_that_is_not_a_number(omega, cf, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+        BiasVector(np.array([1.0]), omega, cf)
+
+
+@pytest.mark.parametrize("label", ["north", "East", "", None], ids=["north", "capital", "empty", "none"])
+def test_leaf_rejects_a_label_other_than_east_or_west(label):
+    with pytest.raises(ValueError, match=re.escape(f"got {label!r}") + "$"):
+        Leaf(label)
+
+
 def test_bias_vector_validation():
     with pytest.raises(ValueError):
         BiasVector(np.array([-1.0]), 0.5, 50.0)
@@ -546,6 +563,16 @@ def test_helpful_split_is_kept():
     m = make_matrix([[1], [1], [0], [0]], [1, 1, 0, 0])
     tree = Node(0, Leaf(EAST), Leaf(WEST))
     assert prune(tree, 50.0, m) == Node(0, Leaf(EAST, 2), Leaf(WEST, 2))
+
+
+def test_standalone_prune_calls_share_no_memo():
+    # one tree object on two matrices: a memo kept from the first call would
+    # hand the second the first matrix's result
+    tree = Node(0, Leaf(EAST), Leaf(WEST))
+    helpful = make_matrix([[1], [1], [0], [0]], [1, 1, 0, 0])
+    useless = make_matrix([[1], [0], [1], [0]], [1, 1, 0, 0])
+    assert prune(tree, 50.0, helpful) == Node(0, Leaf(EAST, 2), Leaf(WEST, 2))
+    assert prune(tree, 50.0, useless) == Leaf(EAST, 4)
 
 
 def test_prune_recounts_a_branch_that_receives_no_example():
@@ -693,6 +720,13 @@ def test_prune_rejects_bad_cf():
     m = make_matrix([[1]], [1])
     with pytest.raises(ValueError):
         prune(Leaf(EAST), 0.5, m)
+
+
+@pytest.mark.parametrize("cf", ["50", None, [50.0]], ids=["string", "none", "list"])
+def test_prune_names_a_cf_that_is_not_a_number(cf):
+    m = make_matrix([[1]], [1])
+    with pytest.raises(ValueError, match="^cf must be a number"):
+        prune(Leaf(EAST), cf, m)
 
 
 # --- fitness ----------------------------------------------------------------

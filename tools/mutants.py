@@ -536,6 +536,77 @@ MUTANTS = (
         "int(costs[tree.feature]) + test_cost(tree.on_true, costs)",
         ("tests/test_tree.py::test_zero_error_fitness_equals_node_cost_sum",),
     ),
+    Mutant(
+        "theory-imports-numpy",
+        "src/eastwest/theory.py",
+        "from .features import HAS_CAR_TEMPLATE",
+        "import numpy as np\n\nfrom .features import HAS_CAR_TEMPLATE",
+        ("tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[agree]",),
+    ),
+    Mutant(
+        "error-term-floored",
+        "src/eastwest/tree.py",
+        "fitness=cost + rate * error_cost,",
+        "fitness=cost + rate * error_cost // 1,",
+        ("tests/test_ga.py::test_costs_and_error_cost_times_4_scale_only_the_fitnesses[random60-0]",),
+    ),
+    Mutant(
+        "leaf-label-unchecked",
+        "src/eastwest/tree.py",
+        "if self.label not in (EAST, WEST):",
+        "if False:",
+        ("tests/test_tree.py::test_leaf_rejects_a_label_other_than_east_or_west[north]",),
+    ),
+    Mutant(
+        "bias-omega-compared-unchecked",
+        "src/eastwest/tree.py",
+        '_within("omega", self.omega, OMEGA_MIN, OMEGA_MAX)',
+        "OMEGA_MIN <= self.omega <= OMEGA_MAX",
+        ("tests/test_tree.py::test_bias_vector_names_an_omega_or_cf_that_is_not_a_number[omega-string]",),
+    ),
+    Mutant(
+        "bias-cf-compared-unchecked",
+        "src/eastwest/tree.py",
+        '_within("cf", self.cf, CF_MIN, CF_MAX)',
+        "CF_MIN <= self.cf <= CF_MAX",
+        ("tests/test_tree.py::test_bias_vector_names_an_omega_or_cf_that_is_not_a_number[cf-string]",),
+    ),
+    Mutant(
+        "prune-cf-compared-unchecked",
+        "src/eastwest/tree.py",
+        '_within("cf", cf, CF_MIN, CF_MAX)',
+        "CF_MIN <= cf <= CF_MAX",
+        ("tests/test_tree.py::test_prune_names_a_cf_that_is_not_a_number[string]",),
+    ),
+    Mutant(
+        "standalone-prune-keeps-its-memo",
+        "src/eastwest/tree.py",
+        "    memo = _memo_for(matrix, memo)\n    key = (id(tree), cf)",
+        '    memo = prune.memo = memo or getattr(prune, "memo", None) or _memo_for(matrix, None)\n'
+        "    key = (id(tree), cf)",
+        ("tests/test_tree.py::test_standalone_prune_calls_share_no_memo",),
+    ),
+    Mutant(
+        "miss-path-drops-a-row",
+        "src/eastwest/tree.py",
+        'np.frombuffer(s.to_bytes(width, "little")',
+        'np.frombuffer((s & s - 1).to_bytes(width, "little")',
+        ("tests/test_tree.py::test_induce_matches_reference_across_word_boundaries[63]",),
+    ),
+    Mutant(
+        "full-feature-counts-no-east-row",
+        "src/eastwest/tree.py",
+        "gains = _gains(m, pos, n1, pos1, self.entropy)",
+        "gains = _gains(m, pos, n1, np.where(n1 == m, 0, pos1).astype(pos1.dtype), self.entropy)",
+        ("tests/test_tree.py::test_gain_constant_feature_is_zero",),
+    ),
+    Mutant(
+        "fact-reader-load-count-altered",
+        "src/eastwest/trains.py",
+        "roof, int(axles), load, int(n))",
+        "roof, int(axles), load, int(n) or 1)",
+        ("tests/test_trains.py::test_single_car_round_trip",),
+    ),
 )
 
 
