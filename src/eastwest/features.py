@@ -241,6 +241,15 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def pack_columns(values: np.ndarray, columns: Sequence[int]) -> list[int]:
+    """The listed columns of a 2-D bool array as row sets: Python ints in
+    which bit i stands for row i; no bit past the last row is set."""
+    import numpy as np
+
+    packed = np.packbits(values[:, columns].T, axis=1, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed]
+
+
 def predicate_bits(train: Train) -> int:
     """Every car-predicate combination and train predicate of one train.
 

@@ -7,6 +7,12 @@ fragment.  `finalize` scores the rendered program with `trains.complexity`,
 its count of `:-`, `;`, atom, variable and integer tokens, the same rule
 that prices the features; the scorer lives in `trains` so that `eastwest
 score` runs without numpy.
+
+`simplify_dnf` and `evaluate_dnf` work on row sets, as `tree.InductionMemo`
+does: `features.pack_columns` packs each column the DNF reads into an int
+with bit i for matrix row i.  A conjunction's rows are the AND of its
+literals' sets, a negated literal's set being its column's complement
+within all rows, and the DNF's east rows are the OR of its conjunctions'.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, predicate_bits
+from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, pack_columns, predicate_bits
 # the scorer lives in trains, which loads without numpy; finalize calls it by this name
 from .trains import EAST, WEST, Train, complexity
 
@@ -52,17 +58,49 @@ def tree_to_dnf(tree: Tree) -> Theory:
     return Theory(dnf=tuple(conjunctions))
 
 
+def _used_features(dnf: Sequence[Conjunction], n_features: int) -> list[int]:
+    """The feature indices the DNF reads, in order.  Raises ValueError
+    naming a literal whose index is outside [0, n_features)."""
+    used = sorted({feat for conj in dnf for feat, _ in conj})
+    if used and (used[0] < 0 or used[-1] >= n_features):
+        bad = used[0] if used[0] < 0 else used[-1]
+        lit = next(lit for conj in dnf for lit in conj if lit[0] == bad)
+        raise ValueError(f"literal {lit} reads feature {bad}, outside [0, {n_features})")
+    return used
+
+
+def _row_sets(dnf: Sequence[Conjunction], values: np.ndarray) -> tuple[dict[int, int], int]:
+    """(true rows of each feature the DNF reads, all rows) of a feature matrix,
+    as row sets: ints with bit i for row i, as `InductionMemo` holds them."""
+    used = _used_features(dnf, values.shape[1])
+    return dict(zip(used, pack_columns(values, used))), (1 << values.shape[0]) - 1
+
+
+def _covered(conj: Sequence[Literal], cols: dict[int, int], rows: int) -> int:
+    """The rows of `rows` that satisfy every literal of `conj`."""
+    for feat, val in conj:
+        if not rows:
+            break
+        rows &= cols[feat] if val else ~cols[feat]
+    return rows
+
+
+def _east_rows(dnf: Sequence[Conjunction], cols: dict[int, int], everyone: int) -> int:
+    east = 0
+    for conj in dnf:
+        east |= _covered(conj, cols, everyone)
+    return east
+
+
 def evaluate_dnf(dnf: Sequence[Conjunction], values: np.ndarray) -> np.ndarray:
-    """Boolean east-predictions of a DNF on feature-matrix rows."""
+    """Boolean east-predictions of a DNF on feature-matrix rows.  Raises
+    ValueError naming a literal whose feature index is not a column."""
     import numpy as np
 
-    out = np.zeros(values.shape[0], dtype=bool)
-    for conj in dnf:
-        sat = np.ones(values.shape[0], dtype=bool)
-        for feat, val in conj:
-            sat &= values[:, feat] == bool(val)
-        out |= sat
-    return out
+    n = values.shape[0]
+    east = _east_rows(dnf, *_row_sets(dnf, values))
+    packed = np.frombuffer(east.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
@@ -71,9 +109,11 @@ def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
 
     One pass: negated literals first, then positive ones, each in
     conjunction order.  The simplified theory classifies the training set
-    exactly as the input theory does.
+    exactly as the input theory does.  Raises ValueError naming a literal
+    whose feature index is not a column of the matrix.
     """
-    west_rows = matrix.values[~evaluate_dnf(theory.dnf, matrix.values)]
+    cols, everyone = _row_sets(theory.dnf, matrix.values)
+    west = everyone & ~_east_rows(theory.dnf, cols, everyone)
     dnf = [list(conj) for conj in theory.dnf]
     # Dropping a literal only widens its conjunction, so a prediction can only
     # flip from west to east: the theory keeps every prediction iff the
@@ -83,8 +123,7 @@ def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
         for conj in dnf:
             for lit in list(conj):
                 i = conj.index(lit)
-                rest = conj[:i] + conj[i + 1:]
-                if lit[1] == wanted_value and not evaluate_dnf([rest], west_rows).any():
+                if lit[1] == wanted_value and not _covered(conj[:i] + conj[i + 1:], cols, west):
                     del conj[i]
     return Theory(dnf=tuple(tuple(c) for c in dnf))
 
@@ -129,9 +168,11 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
     With two or more disjuncts that each bind a single car variable, one
     shared has_car literal for car `C` is hoisted in front of the disjunction.
+    Raises ValueError naming a literal whose feature index is not in the table.
     """
     if not theory.dnf:
         return ""
+    _used_features(theory.dnf, len(table))
     hoist = sum(any(val == 1 and table[feat].fragment[0] == HAS_CAR_TEMPLATE for feat, val in conj)
                 for conj in theory.dnf) >= 2
     hoisted_var = "C" if hoist else None
@@ -157,7 +198,12 @@ def finalize(theory: Theory, table: Sequence[FeatureSpec]) -> Theory:
 # --- evaluation ------------------------------------------------------------
 
 def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
-    """East iff some conjunction is satisfied by the train's feature values."""
+    """East iff some conjunction is satisfied by the train's feature values.
+
+    Feature indices are not checked: `agreement` calls this once per train
+    and theory, so an index past the table raises IndexError and a negative
+    one counts from the table's end.
+    """
     bits = predicate_bits(train)
     for conj in theory.dnf:
         # a plain loop: all() would build a generator for every conjunction

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .features import FeatureMatrix, FeatureSpec
+from .features import FeatureMatrix, FeatureSpec, pack_columns
 from .trains import EAST, WEST
 
 B_MAX = 10000.0
@@ -130,8 +130,8 @@ class InductionMemo:
     A tree or cost-vector object is a key only while its entry holds it, so
     its `id` cannot be reused:
     - `east`, `cols`, `everyone`: the east rows, each feature's true rows and
-      all rows of the matrix;
-    - `words`: the matrix's columns packed into 64-bit words, shape
+      all rows of the matrix, packed by `features.pack_columns`;
+    - `words`: the same columns cut into 64-bit words, shape
       `(ceil(N / 64), F)`: bit i of word k of feature f is row 64k + i, and the
       bits past row N - 1 are 0. `candidates` counts a subset's rows in every
       column at once with popcounts of these words;
@@ -157,13 +157,12 @@ class InductionMemo:
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
+        self.cols = pack_columns(matrix.values, range(matrix.n_features))
+        (self.east,) = pack_columns(matrix.labels[:, None], [0])
         n_words = -(-matrix.n_trains // 64)
-        # one row of little-endian bytes per feature, zero-padded to whole words
-        packed = np.zeros((matrix.n_features, 8 * n_words), dtype=np.uint8)
-        packed[:, : (matrix.n_trains + 7) // 8] = np.packbits(matrix.values, axis=0, bitorder="little").T
-        self.cols = [int.from_bytes(column.tobytes(), "little") for column in packed]
-        self.words = np.ascontiguousarray(packed.view("<u8").T)
-        self.east = int.from_bytes(np.packbits(matrix.labels, bitorder="little").tobytes(), "little")
+        # each column's little-endian bytes, zero-padded to whole words
+        packed = b"".join(col.to_bytes(8 * n_words, "little") for col in self.cols)
+        self.words = np.ascontiguousarray(np.frombuffer(packed, "<u8").reshape(matrix.n_features, n_words).T)
         self.everyone = (1 << matrix.n_trains) - 1
         self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
         self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # read this generation

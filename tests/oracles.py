@@ -288,7 +288,21 @@ def reference_predict(tree, matrix):
     return out
 
 
-# --- fixpoint DNF simplification ---------------------------------------------
+# --- DNF evaluation and fixpoint simplification ------------------------------
+
+def reference_evaluate_dnf(dnf, values):
+    """Boolean east-predictions of a DNF on feature-matrix rows: one column
+    compare per literal, ANDed per conjunction and ORed over the DNF."""
+    import numpy as np
+
+    out = np.zeros(values.shape[0], dtype=bool)
+    for conj in dnf:
+        sat = np.ones(values.shape[0], dtype=bool)
+        for feat, val in conj:
+            sat &= values[:, feat] == bool(val)
+        out |= sat
+    return out
+
 
 def reference_simplify(theory, matrix):
     """Drop literals whose removal leaves every training prediction unchanged.
@@ -298,9 +312,9 @@ def reference_simplify(theory, matrix):
     """
     import numpy as np
 
-    from eastwest.theory import Theory, evaluate_dnf
+    from eastwest.theory import Theory
 
-    target = evaluate_dnf(theory.dnf, matrix.values)
+    target = reference_evaluate_dnf(theory.dnf, matrix.values)
     dnf = [list(conj) for conj in theory.dnf]
     changed = True
     while changed:
@@ -314,7 +328,7 @@ def reference_simplify(theory, matrix):
                         continue
                     candidate = [tuple(c) for c in dnf]
                     candidate[ci] = tuple(conj[:i] + conj[i + 1:])
-                    if np.array_equal(evaluate_dnf(candidate, matrix.values), target):
+                    if np.array_equal(reference_evaluate_dnf(candidate, matrix.values), target):
                         del conj[i]
                         changed = True
                     else:

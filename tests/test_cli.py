@@ -16,7 +16,7 @@ import eastwest
 from eastwest.cli import data_path, main
 from eastwest.features import build_feature_table, feature_index
 from eastwest.theory import Theory, finalize, theory_to_json
-from eastwest.trains import load_trains
+from eastwest.trains import load_trains, random_trains, render_trains
 
 from oracles import run_eastbound
 
@@ -754,3 +754,35 @@ def test_induce_program_classifies_trains20_as_its_report_says(induce_runs, trai
     for train in trains20:
         ran[f"{train.label}_as_{'east' if run_eastbound(program, train) else 'west'}"] += 1
     assert ran == said
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(10, 60), st.integers(0, 10**6), st.integers(0, 99))
+def test_induce_on_random_trains_writes_a_program_that_does_what_its_report_says(
+    tmp_path_factory, count, pool_seed, seed
+):
+    """End to end on generated data, at pop 4 x 2: the emitted program, run by
+    the oracle interpreter, reproduces the report's confusion on every train;
+    `score` prints the report's complexity; `agree` of theory.json with itself
+    prints 100%."""
+    base = tmp_path_factory.mktemp("random-induce")
+    data, out = base / "random.pl", base / "out"
+    data.write_text(render_trains(random_trains(count, pool_seed)))
+    argv = ["induce", "--data", str(data), "--seed", str(seed), "--pop-size", "4", "--generations", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--emit-dir", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert code == (0 if report["best"]["error_count"] == 0 else 1)
+    program = (out / "program.pl").read_text()
+    ran = dict.fromkeys(report["confusion"], 0)
+    for train in load_trains(data):
+        ran[f"{train.label}_as_{'east' if run_eastbound(program, train) else 'west'}"] += 1
+    assert ran == report["confusion"]
+    for command, want in (
+        (["score", str(out / "program.pl")], f"{report['complexity']}\n"),
+        (["agree", str(out / "theory.json"), str(out / "theory.json"), "--data", str(data)], "agreement: 100.0%\n"),
+    ):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(command) == 0
+        assert printed.getvalue() == want

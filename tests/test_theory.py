@@ -1,12 +1,13 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eastwest.features import build_feature_table, evaluate_features, feature_index
+from eastwest.features import FeatureMatrix, build_feature_table, evaluate_features, feature_index
 from eastwest.theory import (
     Theory,
     agreement,
@@ -36,7 +37,7 @@ from eastwest.tree import (
     tree_to_json,
 )
 
-from oracles import reference_program_size, reference_simplify, run_eastbound
+from oracles import reference_evaluate_dnf, reference_program_size, reference_simplify, run_eastbound
 
 REFERENCE_PROGRAM = (
     "eastbound(T) :-\n"
@@ -149,6 +150,92 @@ def test_one_pass_simplify_matches_fixpoint_reference(trains20, trains10, full_t
             simplified = simplify_dnf(raw, matrix)
             assert simplified.dnf == reference_simplify(raw, matrix).dnf
             assert simplify_dnf(simplified, matrix).dnf == simplified.dnf
+
+
+def dnfs(n_features):
+    literal = st.tuples(st.integers(0, n_features - 1), st.sampled_from((0, 1)))
+    return st.lists(st.lists(literal, max_size=4).map(tuple), max_size=4).map(tuple)
+
+
+# row counts at and around the byte and 64-bit word edges of the row sets
+ROW_COUNTS = (1, 7, 8, 63, 64, 65, 128, 200)
+
+
+@st.composite
+def dnf_cases(draw):
+    """(values, labels, dnf): a bool matrix of a drawn row count whose columns
+    are each all false, all true or mixed, east/west labels (all east, all west
+    or mixed; the simplifier reads predictions, not labels) and a DNF over it."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    n_features = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)), min_size=n_features, max_size=n_features))
+    values = rng.random((n, n_features)) < np.array(density)
+    labels = rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return values, labels, draw(dnfs(n_features))
+
+
+def _case(rows, labels, dnf):
+    return np.array(rows, dtype=bool).reshape(len(labels), -1), np.array(labels, dtype=bool), dnf
+
+
+MIXED = [[1, 0], [0, 1], [1, 1], [0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dnf_cases())
+@example(_case(MIXED, [1, 0, 1, 0, 1, 1, 0], ()))  # the empty DNF: every row west
+@example(_case(MIXED, [1, 0, 1, 0, 1, 1, 0], ((),)))  # an empty conjunction: every row east
+@example(_case(MIXED, [1, 0, 1, 0, 1, 1, 0], (((0, 1),),)))
+@example(_case(MIXED, [1, 0, 1, 0, 1, 1, 0], (((1, 0),),)))
+@example(_case(MIXED, [1, 1, 1, 1, 1, 1, 1], (((0, 1), (0, 1), (1, 0)), ((1, 1),))))  # a repeated literal
+@example(_case(MIXED, [0, 0, 0, 0, 0, 0, 0], (((0, 0), (1, 0)), ((0, 1), (0, 1)))))
+@example(_case([[1]] * 64, [1] * 64, (((0, 1),), ((0, 0), (0, 1)))))
+def test_row_set_evaluate_and_simplify_match_the_oracles(case):
+    values, labels, dnf = case
+    got = evaluate_dnf(dnf, values)
+    assert got.dtype == bool and got.shape == (len(values),)
+    assert np.array_equal(got, reference_evaluate_dnf(dnf, values))
+    matrix = FeatureMatrix(tuple(f"t{i}" for i in range(len(values))), values, labels)
+    theory = Theory(dnf=dnf)
+    assert simplify_dnf(theory, matrix).dnf == reference_simplify(theory, matrix).dnf
+
+
+def test_simplify_empties_each_conjunction_of_a_theory_that_predicts_every_row_east():
+    # column 0 holds on every row, so no row is west and every literal goes,
+    # a conjunction whose other literals are all negated included
+    values = np.array([[1, 0], [1, 1], [1, 0]], dtype=bool)
+    matrix = FeatureMatrix(("a", "b", "c"), values, np.array([1, 0, 1], dtype=bool))
+    assert simplify_dnf(Theory(dnf=(((0, 1),), ((1, 0), (0, 1)))), matrix).dnf == ((), ())
+
+
+# the feature indices just outside [0, 1199), one on each side
+OUT_OF_RANGE = pytest.mark.parametrize("index", [-1, 1199], ids=["negative", "past-the-end"])
+
+
+def _out_of_range(index):
+    return Theory(dnf=(((0, 1),), ((1, 0), (index, 1)))), re.escape(f"literal ({index}, 1)")
+
+
+@OUT_OF_RANGE
+def test_evaluate_dnf_names_a_feature_index_outside_the_matrix(matrix20, index):
+    theory, message = _out_of_range(index)
+    with pytest.raises(ValueError, match=message):
+        evaluate_dnf(theory.dnf, matrix20.values)
+
+
+@OUT_OF_RANGE
+def test_simplify_dnf_names_a_feature_index_outside_the_matrix(matrix20, index):
+    theory, message = _out_of_range(index)
+    with pytest.raises(ValueError, match=message):
+        simplify_dnf(theory, matrix20)
+
+
+@OUT_OF_RANGE
+def test_render_program_names_a_feature_index_outside_the_table(full_table, index):
+    theory, message = _out_of_range(index)
+    with pytest.raises(ValueError, match=message):
+        render_program(theory, full_table)
 
 
 # --- rendering and complexity -----------------------------------------------
@@ -342,11 +429,6 @@ SUBSET_TABLES = (
         ["u_shaped", "short_closed", "long_infront_circle_load", "bucket_long", "train_3", "train_circle"]
     ),
 )
-
-
-def dnfs(n_features):
-    literal = st.tuples(st.integers(0, n_features - 1), st.sampled_from((0, 1)))
-    return st.lists(st.lists(literal, max_size=4).map(tuple), max_size=4).map(tuple)
 
 
 @settings(max_examples=100, deadline=None)

@@ -63,9 +63,9 @@ MUTANTS = (
     ),
     Mutant(
         "packbits-bitorder",
-        "src/eastwest/tree.py",
-        'np.packbits(matrix.values, axis=0, bitorder="little")',
-        'np.packbits(matrix.values, axis=0, bitorder="big")',
+        "src/eastwest/features.py",
+        'np.packbits(values[:, columns].T, axis=1, bitorder="little")',
+        'np.packbits(values[:, columns].T, axis=1, bitorder="big")',
         ("tests/test_tree.py::test_words_hold_each_column_row_by_row_with_zero_padding",),
     ),
     Mutant(
@@ -494,8 +494,8 @@ MUTANTS = (
     Mutant(
         "words-read-big-endian",
         "src/eastwest/tree.py",
-        'packed.view("<u8")',
-        'packed.view(">u8")',
+        'np.frombuffer(packed, "<u8")',
+        'np.frombuffer(packed, ">u8")',
         ("tests/test_tree.py::test_gain_perfect_split",),
     ),
     Mutant(
@@ -507,9 +507,9 @@ MUTANTS = (
     ),
     Mutant(
         "pad-bits-set",
-        "src/eastwest/tree.py",
-        "np.zeros((matrix.n_features, 8 * n_words), dtype=np.uint8)",
-        "np.full((matrix.n_features, 8 * n_words), 255, dtype=np.uint8)",
+        "src/eastwest/features.py",
+        "np.packbits(values[:, columns].T,",
+        "np.packbits(np.pad(values[:, columns].T, ((0, 0), (0, 7)), constant_values=True),",
         ("tests/test_tree.py::test_words_hold_each_column_row_by_row_with_zero_padding[1]",),
     ),
     Mutant(
@@ -542,6 +542,34 @@ MUTANTS = (
         "from .features import HAS_CAR_TEMPLATE",
         "import numpy as np\n\nfrom .features import HAS_CAR_TEMPLATE",
         ("tests/test_cli.py::test_score_features_and_usage_errors_run_without_numpy[agree]",),
+    ),
+    Mutant(
+        "west-unbounded",
+        "src/eastwest/theory.py",
+        "west = everyone & ~_east_rows(",
+        "west = ~_east_rows(",
+        ("tests/test_theory.py::test_simplify_empties_each_conjunction_of_a_theory_that_predicts_every_row_east",),
+    ),
+    Mutant(
+        "negation-ignored",
+        "src/eastwest/theory.py",
+        "cols[feat] if val else ~cols[feat]",
+        "cols[feat] if val else cols[feat]",
+        ("tests/test_theory.py::test_dnf_matches_tree_predictions",),
+    ),
+    Mutant(
+        "rows-unpacked-big-endian",
+        "src/eastwest/theory.py",
+        'np.unpackbits(packed, count=n, bitorder="little")',
+        'np.unpackbits(packed, count=n, bitorder="big")',
+        ("tests/test_theory.py::test_dnf_matches_tree_predictions",),
+    ),
+    Mutant(
+        "negative-feature-index-admitted",
+        "src/eastwest/theory.py",
+        "if used and (used[0] < 0 or used[-1] >= n_features):",
+        "if used and used[-1] >= n_features:",
+        ("tests/test_theory.py::test_simplify_dnf_names_a_feature_index_outside_the_matrix[negative]",),
     ),
     Mutant(
         "error-term-floored",
