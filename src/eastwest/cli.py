@@ -9,6 +9,15 @@ and `multi` import the learner (`ga`, `theory`, `tree`) in their own
 bodies; `agree` imports `theory` alone, which loads neither numpy nor
 `tree` until a tree or a matrix is read.  Both call it through the module,
 as the tests and the benchmark's hooks replace module attributes.
+
+The records these modules define (`Car`, `Train`, `FeatureSpec`,
+`FeatureMatrix`, `Theory`) are typed tuples, not dataclasses, so only
+`induce` and `multi` load `dataclasses` (with `inspect`, `ast` and `dis`),
+for the learner's records and the reports written from them.  A record
+is iterable and compares equal to the plain tuple of its values.  With
+bytecode caches, importing this module and building the full feature
+table went from 22.5 to 10.9 ms, and a cold `score`, `features` or
+`agree` runs 18-22% faster (README).
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import features, trains as trains_mod
@@ -89,6 +97,8 @@ def _load_dataset(path: str):
 
 def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
     """The run's report, and the text of each file `--emit-dir` writes, by name."""
+    from dataclasses import asdict, fields
+
     import numpy as np
 
     from . import ga, theory as theory_mod, tree as tree_mod

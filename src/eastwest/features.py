@@ -22,11 +22,10 @@ costs 1 + its arity and `not` adds 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .trains import CAR_FIELDS, Car, Train, EAST, LOAD_SHAPES, _tokenize, program_size
 
@@ -40,8 +39,7 @@ def _literal_size(template: str) -> int:
     return program_size(_tokenize(template.format("X", "Y")))
 
 
-@dataclass(frozen=True)
-class CarPredicate:
+class CarPredicate(NamedTuple):
     """A car predicate: it holds when the car's `attribute` is one of `values`."""
 
     name: str
@@ -131,8 +129,7 @@ def _car_tables() -> tuple[dict, ...]:
     return tuple(tables)
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(NamedTuple):
     """A boolean feature over whole trains: the Prolog fragment that
     expresses it, and that fragment's size as its cost."""
 
@@ -211,26 +208,33 @@ def feature_index(table: Sequence[FeatureSpec], name: str) -> int:
     raise KeyError(name)
 
 
-@dataclass
-class FeatureMatrix:
-    """Boolean feature values for a set of trains, plus their labels."""
-
+class _MatrixFields(NamedTuple):
     train_ids: tuple[str, ...]
     values: np.ndarray  # (n_trains, n_features), bool
     labels: np.ndarray  # (n_trains,), bool, True = eastbound
 
-    def __post_init__(self):
+
+class FeatureMatrix(_MatrixFields):
+    """Boolean feature values for a set of trains, plus their labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, train_ids, values, labels):
         # numpy is imported where a matrix is made, so the table and the
         # commands that only list it or score programs start without it
         import numpy as np
 
-        ids, values, labels = self.train_ids, self.values, self.labels
         if not (isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == bool):
             raise ValueError("feature values must be a 2-D bool array")
         if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype == bool):
             raise ValueError("labels must be a 1-D bool array")
-        if not len(ids) == len(labels) == len(values):
-            raise ValueError(f"lengths differ: {len(ids)} ids, {len(labels)} labels, {len(values)} rows")
+        if not len(train_ids) == len(labels) == len(values):
+            raise ValueError(f"lengths differ: {len(train_ids)} ids, {len(labels)} labels, {len(values)} rows")
+        return tuple.__new__(cls, (train_ids, values, labels))
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def n_trains(self) -> int:

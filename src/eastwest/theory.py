@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .features import HAS_CAR_TEMPLATE, FeatureMatrix, FeatureSpec, pack_columns, predicate_bits
 # the scorer lives in trains, which loads without numpy; finalize calls it by this name
@@ -31,8 +30,7 @@ Literal = tuple[int, int]
 Conjunction = tuple[Literal, ...]
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     """DNF over features; satisfied conjunction => eastbound, else westbound."""
 
     dnf: tuple[Conjunction, ...]
@@ -192,7 +190,7 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 def finalize(theory: Theory, table: Sequence[FeatureSpec]) -> Theory:
     """The theory with its rendered program text and complexity score filled in."""
     rendered = render_program(theory, table)
-    return replace(theory, rendered=rendered, complexity=complexity(rendered))
+    return theory._replace(rendered=rendered, complexity=complexity(rendered))
 
 
 # --- evaluation ------------------------------------------------------------
@@ -200,9 +198,10 @@ def finalize(theory: Theory, table: Sequence[FeatureSpec]) -> Theory:
 def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
     """East iff some conjunction is satisfied by the train's feature values.
 
-    Feature indices are not checked: `agreement` calls this once per train
-    and theory, so an index past the table raises IndexError and a negative
-    one counts from the table's end.
+    Feature indices are not checked here, as this runs once per train and
+    theory: `agreement` checks them once per call.  Called directly, an
+    index past the table raises IndexError and a negative one counts from
+    the table's end.
     """
     bits = predicate_bits(train)
     for conj in theory.dnf:
@@ -216,9 +215,13 @@ def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
 
 
 def agreement(a: Theory, b: Theory, trains: Sequence[Train], table: Sequence[FeatureSpec]) -> float:
-    """Fraction of trains the two theories classify identically."""
+    """Fraction of trains the two theories classify identically.  Raises
+    ValueError for an empty train list, or naming a literal whose feature
+    index is not in the table."""
     if not trains:
         raise ValueError("agreement needs a nonempty train list")
+    for theory in (a, b):
+        _used_features(theory.dnf, len(table))
     same = sum(1 for t in trains if classify(a, t, table) == classify(b, t, table))
     return same / len(trains)
 

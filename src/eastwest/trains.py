@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CAR_SHAPES = ("rectangle", "hexagon", "ellipse", "u_shaped", "bucket")
 LENGTHS = ("long", "short")
@@ -36,7 +36,7 @@ LOAD_SHAPES = ("circle", "hexagon", "rectangle", "triangle", "diamond", "utriang
 AXLES = (2, 3)
 LOAD_COUNTS = (0, 1, 2, 3)
 
-# each Car field after `position`, in dataclass order, with its closed domain:
+# each Car field after `position`, in field order, with its closed domain:
 # Car checks every value against it and random_trains draws from it
 CAR_FIELDS = (
     ("shape", CAR_SHAPES),
@@ -64,8 +64,12 @@ class TrainFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Car:
+# Records are typed tuples, not dataclasses: importing `dataclasses` loads
+# inspect, ast and dis, and a frozen dataclass sets each field of each car
+# through object.__setattr__.  A NamedTuple body cannot define __new__, so a
+# checked record is a subclass of its fields' NamedTuple whose __new__
+# checks the values and builds the tuple.
+class _CarFields(NamedTuple):
     position: int
     shape: str
     length: str
@@ -75,15 +79,24 @@ class Car:
     load_shape: str
     load_count: int
 
-    def __post_init__(self):
-        if type(self.position) is not int or self.position < 1:
-            raise TrainFormatError(f"car position must be an integer >= 1, got {self.position!r}")
-        for name, domain in CAR_FIELDS:
-            value = getattr(self, name)
+
+class Car(_CarFields):
+    __slots__ = ()
+
+    def __new__(cls, position, shape, length, walls, roof, axles, load_shape, load_count):
+        if type(position) is not int or position < 1:
+            raise TrainFormatError(f"car position must be an integer >= 1, got {position!r}")
+        values = (shape, length, walls, roof, axles, load_shape, load_count)
+        for (name, domain), value in zip(CAR_FIELDS, values):
             # exact type: True or 2.0 would equal a domain value but render as
             # text that parse_trains cannot read back
             if type(value) is not type(domain[0]) or value not in domain:
                 raise TrainFormatError(f"car {name} must be one of {domain}, got {value!r}")
+        return tuple.__new__(cls, (position, *values))
+
+    @classmethod
+    def _make(cls, values):  # what _replace builds with: the checks apply there too
+        return cls(*values)
 
     @property
     def load(self) -> str | None:
@@ -91,18 +104,20 @@ class Car:
         return self.load_shape if self.load_count >= 1 else None
 
 
-@dataclass(frozen=True)
-class Train:
+class _TrainFields(NamedTuple):
     id: str
     label: str
     cars: tuple[Car, ...]
 
-    def __post_init__(self):
-        if not (isinstance(self.id, str) and self.id):
-            raise TrainFormatError(f"train id must be a nonempty string, got {self.id!r}")
-        if self.label not in LABELS:
-            raise TrainFormatError(f"label must be 'east' or 'west', got {self.label!r}")
-        cars = self.cars
+
+class Train(_TrainFields):
+    __slots__ = ()
+
+    def __new__(cls, id, label, cars):
+        if not (isinstance(id, str) and id):
+            raise TrainFormatError(f"train id must be a nonempty string, got {id!r}")
+        if label not in LABELS:
+            raise TrainFormatError(f"label must be 'east' or 'west', got {label!r}")
         if not (isinstance(cars, tuple) and cars and all(isinstance(c, Car) for c in cars)):
             raise TrainFormatError("train cars must be a nonempty tuple of Car")
         positions = [c.position for c in cars]
@@ -110,6 +125,11 @@ class Train:
             raise TrainFormatError(
                 f"car positions must be exactly 1..{len(cars)} in order, got {positions}"
             )
+        return tuple.__new__(cls, (id, label, cars))
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
 # --- tokenizer and token cursor (shared with the program scorer) ----------

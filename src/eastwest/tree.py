@@ -395,14 +395,30 @@ def tree_to_dict(tree: Tree, table: Sequence[FeatureSpec]) -> dict:
 
 
 def tree_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Tree:
+    """The tree `tree_to_dict` wrote.  Raises ValueError naming a node that
+    is not a dict holding either "leaf" (and an integer "n", if any) or
+    "feature", "yes" and "no", for a leaf label other than east or west and
+    for a tree nested too deeply to read; KeyError for an unknown feature
+    name (a name that is not a string is unknown)."""
     by_name = {s.name: s.index for s in table}
 
-    def build(node: dict) -> Tree:
-        if "leaf" in node:
+    def build(node, where: str) -> Tree:
+        if type(node) is dict and "leaf" in node and type(node.get("n", 0)) is int:
             return Leaf(node["leaf"], node.get("n", 0))
-        return Node(by_name[node["feature"]], build(node["yes"]), build(node["no"]))
+        if not (type(node) is dict and "leaf" not in node and {"feature", "yes", "no"} <= node.keys()):
+            raise ValueError(
+                f"tree node {where} is neither a leaf, whose 'n' is an integer, "
+                "nor a split with 'feature', 'yes' and 'no'"
+            )
+        name = node["feature"]
+        if type(name) is not str:
+            raise KeyError(name)
+        return Node(by_name[name], build(node["yes"], where + ".yes"), build(node["no"], where + ".no"))
 
-    return build(data)
+    try:
+        return build(data, "root")
+    except RecursionError:
+        raise ValueError("the tree is nested too deeply") from None
 
 
 def tree_to_json(tree: Tree, table: Sequence[FeatureSpec]) -> str:

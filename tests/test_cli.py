@@ -552,12 +552,14 @@ def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):
     assert err == "error: out of memory for a population of 1000000000\n"
 
 
-def _fresh_python(code, *args):
-    """Run `code` in a fresh interpreter that imports this checkout's package."""
+def _fresh_python(code, *args, site=True):
+    """Run `code` in a fresh interpreter that imports this checkout's package;
+    without `site`, the interpreter runs with -S and imports no site module."""
     src = str(Path(eastwest.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    flags = [] if site else ["-S"]
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
 def _cli_import_loads(module):
@@ -577,6 +579,15 @@ def test_cli_import_does_not_load_scipy_special():
     # only pruning needs scipy (the bound's beta quantile), so the commands
     # that never prune (features, score, agree, gen-trains) never load it
     assert not _cli_import_loads("scipy.special")
+
+
+def test_cli_and_theory_import_without_dataclasses():
+    # records are typed tuples, as dataclasses loads inspect, ast and dis;
+    # -S keeps a site .pth file that imports dataclasses itself from hiding
+    # an import by the package
+    code = "import sys, eastwest.cli, eastwest.theory; print('dataclasses' in sys.modules)"
+    out = _fresh_python(code, site=False)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 # main in a fresh interpreter, then whether numpy and the learner's tree
@@ -756,6 +767,14 @@ def test_induce_program_classifies_trains20_as_its_report_says(induce_runs, trai
     assert ran == said
 
 
+def _printed(argv):
+    """(exit status, stdout) of main(argv)."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv)
+    return code, printed.getvalue()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(10, 60), st.integers(0, 10**6), st.integers(0, 99))
 def test_induce_on_random_trains_writes_a_program_that_does_what_its_report_says(
@@ -769,8 +788,7 @@ def test_induce_on_random_trains_writes_a_program_that_does_what_its_report_says
     data, out = base / "random.pl", base / "out"
     data.write_text(render_trains(random_trains(count, pool_seed)))
     argv = ["induce", "--data", str(data), "--seed", str(seed), "--pop-size", "4", "--generations", "2"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv + ["--emit-dir", str(out)])
+    code, _ = _printed(argv + ["--emit-dir", str(out)])
     report = json.loads((out / "report.json").read_text())
     assert code == (0 if report["best"]["error_count"] == 0 else 1)
     program = (out / "program.pl").read_text()
@@ -782,7 +800,27 @@ def test_induce_on_random_trains_writes_a_program_that_does_what_its_report_says
         (["score", str(out / "program.pl")], f"{report['complexity']}\n"),
         (["agree", str(out / "theory.json"), str(out / "theory.json"), "--data", str(data)], "agreement: 100.0%\n"),
     ):
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            assert main(command) == 0
-        assert printed.getvalue() == want
+        assert _printed(command) == (0, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(10, 40), st.integers(0, 10**6)), min_size=1, max_size=3), st.integers(0, 99))
+def test_multi_reports_what_induce_reports_on_each_file_and_totals_them(tmp_path_factory, pools, seed):
+    """`multi` over k generated files, at pop 4 x 2: its datasets are the k
+    reports `induce` prints for the files alone, in order, its totals are
+    their sums and its exit status is the highest of theirs."""
+    base = tmp_path_factory.mktemp("random-multi")
+    paths = [str(base / f"random{i}.pl") for i in range(len(pools))]
+    for path, (count, pool_seed) in zip(paths, pools):
+        Path(path).write_text(render_trains(random_trains(count, pool_seed)))
+    options = ["--seed", str(seed), "--pop-size", "4", "--generations", "2", "--format", "json"]
+    code, out = _printed(["multi", *(arg for path in paths for arg in ("--data", path)), *options])
+    alone = [_printed(["induce", "--data", path, *options]) for path in paths]
+    reports = [json.loads(report) for _, report in alone]
+    errors = sum(report["best"]["error_count"] for report in reports)
+    assert json.loads(out) == {
+        "datasets": reports,
+        "total_complexity": sum(report["complexity"] for report in reports),
+        "total_errors": errors,
+    }
+    assert code == (0 if errors == 0 else 1) == max(status for status, _ in alone)

@@ -212,6 +212,11 @@ def test_feature_matrix_validates_its_arrays(n_ids, values, labels):
         FeatureMatrix(tuple(f"t{i}" for i in range(n_ids)), values, labels)
 
 
+def test_feature_matrix_replace_validates_its_arrays(matrix20):
+    with pytest.raises(ValueError, match="lengths differ"):
+        matrix20._replace(labels=matrix20.labels[1:])
+
+
 def test_unary_train_subset():
     table = build_feature_table("unary_train")
     assert len(table) == 37

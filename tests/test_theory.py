@@ -463,6 +463,15 @@ def test_agreement_requires_trains(full_table):
         agreement(theory, theory, [], full_table)
 
 
+@OUT_OF_RANGE
+@pytest.mark.parametrize("bad", ["first", "second"])
+def test_agreement_names_a_feature_index_outside_the_table(trains20, full_table, bad, index):
+    theory, message = _out_of_range(index)
+    a, b = (theory, Theory(dnf=())) if bad == "first" else (Theory(dnf=()), theory)
+    with pytest.raises(ValueError, match=message):
+        agreement(a, b, trains20, full_table)
+
+
 def test_opposite_theories_agree_nowhere(trains20, full_table):
     always_east = Theory(dnf=((),))
     always_west = Theory(dnf=())

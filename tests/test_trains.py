@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from eastwest import trains as trains_mod
 from eastwest.cli import data_path
+from eastwest.features import build_feature_table
+from eastwest.theory import Theory
 from eastwest.trains import (
     CAR_FIELDS,
     Car,
@@ -84,14 +85,49 @@ def test_invalid_facts_rejected(fact):
         parse_trains(fact)
 
 
-def test_car_fields_table_follows_the_dataclass():
-    assert [name for name, _ in CAR_FIELDS] == [f.name for f in dataclasses.fields(Car)][1:]
+def test_car_fields_table_follows_the_record():
+    assert [name for name, _ in CAR_FIELDS] == list(Car._fields)[1:]
 
 
 GOOD_CAR = dict(
     position=1, shape="bucket", length="short", walls="double", roof="arc",
     axles=3, load_shape="diamond", load_count=0,
 )
+
+
+def _record(kind):
+    car = Car(**GOOD_CAR)
+    return {
+        "car": car,
+        "train": Train("east1", "east", (car,)),
+        "feature": build_feature_table("full")[0],
+        "theory": Theory(dnf=(((0, 1),),)),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["car", "train", "feature", "theory"])
+@pytest.mark.parametrize("name", ["field", "new-attribute"])
+def test_records_cannot_be_assigned_to(kind, name):
+    record = _record(kind)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0] if name == "field" else "extra", 1)
+
+
+def test_a_record_is_the_tuple_of_its_values():
+    # what a caller sees of records being typed tuples
+    car = Car(**GOOD_CAR)
+    assert car == tuple(GOOD_CAR.values()) and list(car) == list(GOOD_CAR.values())
+    assert car._asdict() == GOOD_CAR
+
+
+@pytest.mark.parametrize(
+    "kind,change,message",
+    [("car", {"position": 0}, "car position"), ("train", {"label": "north"}, "label must be")],
+    ids=["car", "train"],
+)
+def test_replace_checks_a_record_as_its_constructor_does(kind, change, message):
+    with pytest.raises(TrainFormatError, match=message):
+        _record(kind)._replace(**change)
 
 
 @pytest.mark.parametrize(

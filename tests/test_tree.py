@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -816,6 +817,34 @@ def test_tree_dict_round_trip(reference_tree, full_table):
     data["no"]["feature"] = "no_such_feature"
     with pytest.raises(KeyError):
         tree_from_dict(data, full_table)
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        ([], "root"),
+        ({"feature": "short", "yes": {"leaf": "east"}}, "root"),
+        ({"feature": "short", "yes": ["east"], "no": {"leaf": "west"}}, "root.yes"),
+        ({"feature": "short", "yes": {"leaf": "east"}, "no": {"leaf": "west", "n": "3"}}, "root.no"),
+    ],
+    ids=["list", "no-branch", "branch-not-a-dict", "count-not-an-integer"],
+)
+def test_tree_from_dict_names_a_badly_shaped_node(full_table, data, where):
+    with pytest.raises(ValueError, match=f"^tree node {re.escape(where)} is neither"):
+        tree_from_dict(data, full_table)
+
+
+def test_tree_from_dict_names_a_tree_nested_too_deeply(full_table):
+    data = {"leaf": "east"}
+    for _ in range(sys.getrecursionlimit()):
+        data = {"feature": "short", "yes": data, "no": {"leaf": "west"}}
+    with pytest.raises(ValueError, match="nested too deeply"):
+        tree_from_dict(data, full_table)
+
+
+def test_tree_from_dict_reads_a_feature_name_that_is_not_a_string_as_unknown(full_table):
+    with pytest.raises(KeyError):
+        tree_from_dict({"feature": ["short"], "yes": {"leaf": "east"}, "no": {"leaf": "west"}}, full_table)
 
 
 def test_induction_on_real_data_is_consistent(matrix20, costs20):

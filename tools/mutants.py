@@ -635,6 +635,45 @@ MUTANTS = (
         "roof, int(axles), load, int(n) or 1)",
         ("tests/test_trains.py::test_single_car_round_trip",),
     ),
+    Mutant(
+        "trains-imports-dataclasses",
+        "src/eastwest/trains.py",
+        "import functools\nimport re\n",
+        "import dataclasses\nimport functools\nimport re\n",
+        ("tests/test_cli.py::test_cli_and_theory_import_without_dataclasses",),
+    ),
+    Mutant(
+        "car-replace-unchecked",
+        "src/eastwest/trains.py",
+        "    @classmethod\n    def _make(cls, values):  # what _replace builds with: the checks apply there too\n"
+        "        return cls(*values)\n",
+        "",
+        ("tests/test_trains.py::test_replace_checks_a_record_as_its_constructor_does[car]",),
+    ),
+    Mutant(
+        "car-record-has-a-dict",
+        "src/eastwest/trains.py",
+        "class Car(_CarFields):\n    __slots__ = ()\n",
+        "class Car(_CarFields):\n",
+        ("tests/test_trains.py::test_records_cannot_be_assigned_to[new-attribute-car]",),
+    ),
+    Mutant(
+        "agreement-checks-only-the-first-theory",
+        "src/eastwest/theory.py",
+        "for theory in (a, b):",
+        "for theory in (a,):",
+        (
+            "tests/test_theory.py::test_agreement_names_a_feature_index_outside_the_table[second-negative]",
+            "tests/test_theory.py::test_agreement_names_a_feature_index_outside_the_table[second-past-the-end]",
+        ),
+    ),
+    Mutant(
+        "tree-split-without-no-read",
+        "src/eastwest/tree.py",
+        '{"feature", "yes", "no"} <= node.keys()',
+        '{"feature", "yes"} <= node.keys()',
+        ("tests/test_tree.py::test_tree_from_dict_names_a_badly_shaped_node[no-branch]",),
+    ),
 )
 
 
