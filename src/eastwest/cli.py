@@ -14,10 +14,7 @@ The records these modules define (`Car`, `Train`, `FeatureSpec`,
 `FeatureMatrix`, `Theory`) are typed tuples, not dataclasses, so only
 `induce` and `multi` load `dataclasses` (with `inspect`, `ast` and `dis`),
 for the learner's records and the reports written from them.  A record
-is iterable and compares equal to the plain tuple of its values.  With
-bytecode caches, importing this module and building the full feature
-table went from 22.5 to 10.9 ms, and a cold `score`, `features` or
-`agree` runs 18-22% faster (README).
+is iterable and compares equal to the plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -47,9 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def data_path(name: str) -> Path:
     """Path of a bundled dataset, e.g. 'trains20.pl'."""
-    from importlib import resources  # about 10 ms to import; no command needs it
-
-    return Path(resources.files("eastwest.data") / name)
+    return Path(__file__).parent / "data" / name
 
 
 def _read_text(path: str) -> str:

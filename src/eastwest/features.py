@@ -35,10 +35,6 @@ HAS_CAR_TEMPLATE = "has_car(T, {0})"
 INFRONT_TEMPLATE = "infront(T, {0}, {1})"
 
 
-def _literal_size(template: str) -> int:
-    return program_size(_tokenize(template.format("X", "Y")))
-
-
 class CarPredicate(NamedTuple):
     """A car predicate: it holds when the car's `attribute` is one of `values`."""
 
@@ -163,7 +159,7 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     first = [p.template for p in CAR_PREDICATES]
     second = [t.replace("{0}", "{1}") for t in first]  # the literal on an infront pair's second car
     templates = (HAS_CAR_TEMPLATE, INFRONT_TEMPLATE, *first, *second, *(t for _, t in TRAIN_PREDICATES))
-    size_of = {t: _literal_size(t) for t in templates}.__getitem__  # each template sized once
+    size_of = {t: program_size(_tokenize(t.format("X", "Y"))) for t in templates}.__getitem__  # sized once each
     cars = list(enumerate(CAR_PREDICATES))
     # (kind, name, fragment, components, slot)
     specs = [("unary", p.name, (HAS_CAR_TEMPLATE, first[i]), (p.name,), i) for i, p in cars]

@@ -126,38 +126,27 @@ def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
     return Theory(dnf=tuple(tuple(c) for c in dnf))
 
 
-def _feature_literals(spec: FeatureSpec, car_var: str | None, names: Iterator[int]) -> list[str]:
-    """Fragment literals for one positive feature occurrence.
-
-    `car_var` is the hoisted car variable; when given, the feature's has_car
-    scaffold is dropped and its literals use that variable.
-    """
-    if car_var is not None:
-        return [t.format(car_var) for t in spec.fragment[1:]]
-    # a fresh car variable for each placeholder of the scaffold
-    cars = [f"C{next(names)}" for _ in range(spec.fragment[0].count("{"))]
-    return [t.format(*cars) for t in spec.fragment]
-
-
 def _conjunction_text(
     conj: Conjunction, table: Sequence[FeatureSpec], hoisted_var: str | None, names: Iterator[int]
 ) -> str:
     parts: list[str] = []
     for feat, val in conj:
-        spec = table[feat]
-        if val == 1:
-            car_var = None
-            if hoisted_var is not None and spec.fragment[0] == HAS_CAR_TEMPLATE:
-                car_var = hoisted_var
-                hoisted_var = None  # the conjunct's other car features bind fresh cars
-            parts.extend(_feature_literals(spec, car_var, names))
+        fragment = table[feat].fragment
+        if val == 1 and hoisted_var is not None and fragment[0] == HAS_CAR_TEMPLATE:
+            # the hoisted car stands for the has_car scaffold; a negated
+            # fragment never shares it, as it must be self-contained
+            literals = [t.format(hoisted_var) for t in fragment[1:]]
+            hoisted_var = None  # the conjunct's other car features bind fresh cars
         else:
-            # negation of the feature's existential fragment, always self-contained
-            inner = _feature_literals(spec, None, names)
-            if len(inner) == 1:
-                parts.append(f"not({inner[0]})")
-            else:
-                parts.append("not((" + ", ".join(inner) + "))")
+            # a fresh car variable for each placeholder of the scaffold
+            cars = [f"C{next(names)}" for _ in range(fragment[0].count("{"))]
+            literals = [t.format(*cars) for t in fragment]
+        if val == 1:
+            parts += literals
+        elif len(literals) == 1:
+            parts.append(f"not({literals[0]})")
+        else:
+            parts.append("not((" + ", ".join(literals) + "))")
     return ", ".join(parts)
 
 
@@ -171,9 +160,8 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
     if not theory.dnf:
         return ""
     _used_features(theory.dnf, len(table))
-    hoist = sum(any(val == 1 and table[feat].fragment[0] == HAS_CAR_TEMPLATE for feat, val in conj)
-                for conj in theory.dnf) >= 2
-    hoisted_var = "C" if hoist else None
+    hoists = sum(any(val == 1 and table[f].fragment[0] == HAS_CAR_TEMPLATE for f, val in c) for c in theory.dnf)
+    hoisted_var = "C" if hoists >= 2 else None
     names = itertools.count(1)
     bodies = [_conjunction_text(conj, table, hoisted_var, names) for conj in theory.dnf]
     if len(bodies) == 1:
@@ -181,7 +169,7 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
     disjuncts = ["(" + (body or "true") + ")" for body in bodies]
     lines = ["eastbound(T) :-"]
-    if hoist:
+    if hoisted_var is not None:
         lines.append(f"    {HAS_CAR_TEMPLATE.format(hoisted_var)},")
     lines.append("    (" + " ;\n    ".join(disjuncts) + ").")
     return "\n".join(lines) + "\n"

@@ -341,6 +341,9 @@ def _car_from_term(term) -> Car:
     return Car(*fields, *load[1])
 
 
+_CAR_TEXT = "c({}, {}, {}, {}, {}, {}, l({}, {}))"  # a car term, fields in Car's order
+
+
 def _spaced(shape: str, **parts: str) -> str:
     """A pattern for the tokens of `shape` with any whitespace between them;
     a variable token named in `parts` stands for that pattern."""
@@ -358,7 +361,7 @@ def _fact_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     # the lookahead keeps backtracking from ending a comment early and
     # reading a fact out of the rest of its line
     gap = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
-    car = _spaced("c(I, A, A, A, A, I, l(A, I))", I=r"(\d+)", A="([a-z][A-Za-z0-9_]*)")
+    car = _spaced(_CAR_TEXT.format(*"IAAAAIAI"), I=r"(\d+)", A="([a-z][A-Za-z0-9_]*)")
     fact = gap + _spaced("L([C]).", L=r"(east|west)bound", C=rf"({car}(?:\s*,\s*{car})*)")
     return re.compile(fact), re.compile(car), re.compile(gap + r"\Z")
 
@@ -439,10 +442,7 @@ def _parse_facts(parser: _Parser) -> list[Train]:
 
 
 def render_car(car: Car) -> str:
-    return (
-        f"c({car.position}, {car.shape}, {car.length}, {car.walls}, "
-        f"{car.roof}, {car.axles}, l({car.load_shape}, {car.load_count}))"
-    )
+    return _CAR_TEXT.format(*car)
 
 
 def render_train(train: Train) -> str:

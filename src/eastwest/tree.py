@@ -67,6 +67,8 @@ class Leaf:
     def __post_init__(self):
         if self.label not in (EAST, WEST):
             raise ValueError(f"leaf label must be {EAST!r} or {WEST!r}, got {self.label!r}")
+        if type(self.n_examples) is not int or self.n_examples < 0:
+            raise ValueError(f"leaf n_examples must be an integer >= 0, got {self.n_examples!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,7 +311,10 @@ def _prune(node, cf, s, memo):
 def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | None = None) -> Tree:
     """Pessimistic leaf-replacement pruning at confidence level cf (percent);
     the result is computed once per tree object and cf in the memo.  Raises
-    ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX]."""
+    ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX].
+    Feature indices are not checked, as that would walk every tree on every
+    evaluation: one past the columns raises IndexError, and a negative one
+    counts from the last column."""
     if not _within("cf", cf, CF_MIN, CF_MAX):
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
     memo = _memo_for(matrix, memo)
@@ -330,7 +335,9 @@ def _predict(node, values, idx, out):
 
 
 def predict_all(tree: Tree, matrix: FeatureMatrix) -> np.ndarray:
-    """Boolean predictions (True = east) for every row of the matrix."""
+    """Boolean predictions (True = east) for every row of the matrix; a tree
+    feature index past the columns raises IndexError, and a negative one
+    counts from the last column."""
     predictions = np.empty(matrix.n_trains, dtype=bool)
     _predict(tree, matrix.values, np.arange(matrix.n_trains), predictions)
     return predictions
@@ -344,7 +351,8 @@ def node_count(tree: Tree) -> int:
 
 
 def test_cost(tree: Tree, costs: np.ndarray) -> int:
-    """Sum of feature costs over all internal nodes, one per node."""
+    """Sum of feature costs over all internal nodes, one per node; a feature
+    index past `costs` raises IndexError, and a negative one counts from its end."""
     if isinstance(tree, Leaf):
         return 0
     return int(costs[tree.feature]) + test_cost(tree.on_true, costs) + test_cost(tree.on_false, costs)
@@ -356,7 +364,9 @@ def fitness(
     costs: np.ndarray,
     error_cost: float = ERROR_COST,
 ) -> FitnessReport:
-    """Score a tree: static test cost plus error_rate * error_cost."""
+    """Score a tree: static test cost plus error_rate * error_cost.  Raises
+    ValueError naming `costs` unless they are finite whole numbers >= 0, one
+    per feature; feature indices are read as in `predict_all`."""
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
     costs = np.asarray(costs)
@@ -395,16 +405,20 @@ def tree_to_dict(tree: Tree, table: Sequence[FeatureSpec]) -> dict:
 
 
 def tree_from_dict(data: dict, table: Sequence[FeatureSpec]) -> Tree:
-    """The tree `tree_to_dict` wrote.  Raises ValueError naming a node that
-    is not a dict holding either "leaf" (and an integer "n", if any) or
-    "feature", "yes" and "no", for a leaf label other than east or west and
-    for a tree nested too deeply to read; KeyError for an unknown feature
-    name (a name that is not a string is unknown)."""
+    """The tree `tree_to_dict` wrote.  Raises ValueError naming the path of
+    a node that is not a dict holding either "leaf" (and an integer "n", if
+    any) or "feature", "yes" and "no", or of a leaf whose label is not east
+    or west or whose "n" is negative, and for a tree nested too deeply to
+    read; KeyError for an unknown feature name (a name that is not a string
+    is unknown)."""
     by_name = {s.name: s.index for s in table}
 
     def build(node, where: str) -> Tree:
         if type(node) is dict and "leaf" in node and type(node.get("n", 0)) is int:
-            return Leaf(node["leaf"], node.get("n", 0))
+            try:
+                return Leaf(node["leaf"], node.get("n", 0))
+            except ValueError as exc:
+                raise ValueError(f"tree node {where}: {exc}") from None
         if not (type(node) is dict and "leaf" not in node and {"feature", "yes", "no"} <= node.keys()):
             raise ValueError(
                 f"tree node {where} is neither a leaf, whose 'n' is an integer, "

@@ -475,6 +475,12 @@ def test_leaf_rejects_a_label_other_than_east_or_west(label):
         Leaf(label)
 
 
+@pytest.mark.parametrize("n", [-3, 2.5, True, None], ids=["negative", "float", "bool", "none"])
+def test_leaf_rejects_a_count_that_is_not_an_int_of_at_least_0(n):
+    with pytest.raises(ValueError, match="^leaf n_examples must be an integer >= 0, got " + re.escape(repr(n)) + "$"):
+        Leaf(EAST, n)
+
+
 def test_bias_vector_validation():
     with pytest.raises(ValueError):
         BiasVector(np.array([-1.0]), 0.5, 50.0)
@@ -831,6 +837,22 @@ def test_tree_dict_round_trip(reference_tree, full_table):
 )
 def test_tree_from_dict_names_a_badly_shaped_node(full_table, data, where):
     with pytest.raises(ValueError, match=f"^tree node {re.escape(where)} is neither"):
+        tree_from_dict(data, full_table)
+
+
+@pytest.mark.parametrize(
+    "data,where,error",
+    [
+        ({"leaf": "east", "n": -5}, "root", "leaf n_examples must be an integer >= 0, got -5"),
+        ({"feature": "short", "yes": {"leaf": "north"}, "no": {"leaf": "west"}}, "root.yes",
+         "leaf label must be 'east' or 'west', got 'north'"),
+        ({"feature": "short", "yes": {"leaf": "east"}, "no": {"leaf": "west", "n": -1}}, "root.no",
+         "leaf n_examples must be an integer >= 0, got -1"),
+    ],
+    ids=["negative-count-at-the-root", "bad-label", "negative-count"],
+)
+def test_tree_from_dict_names_the_path_of_a_bad_leaf(full_table, data, where, error):
+    with pytest.raises(ValueError, match=f"^tree node {re.escape(where)}: {re.escape(error)}$"):
         tree_from_dict(data, full_table)
 
 

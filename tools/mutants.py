@@ -12,8 +12,10 @@ fails here loudly and the mutant must be re-targeted) with its new text, and
 runs each of the mutant's tests there in its own pytest call. The mutant is
 killed when every one of them fails. A pytest call that runs past TIMEOUT_S
 seconds is stopped and reported as an error, never as a kill. A control copy
-with no replacement runs every named test and must pass. The exit status is 0
-only when the control passes and every mutant is killed.
+with no replacement runs every named test first and must pass. The mutants
+then run WORKERS at a time, each in its own copy, and are reported in table
+order. The exit status is 0 only when the control passes and every mutant is
+killed.
 
 A change that checks a new optimisation with a hand-made mutant adds it here.
 """
@@ -26,12 +28,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT_S = 120  # per pytest call, so a mutant that makes a loop spin cannot hold the run
+WORKERS = min(2, os.cpu_count() or 1)  # mutants tested at a time, each in its own copy
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,8 @@ MUTANTS = (
     Mutant(
         "hoisted-feature-keeps-its-scaffold",
         "src/eastwest/theory.py",
-        "t.format(car_var) for t in spec.fragment[1:]",
-        "t.format(car_var) for t in spec.fragment",
+        "t.format(hoisted_var) for t in fragment[1:]",
+        "t.format(hoisted_var) for t in fragment",
         (
             "tests/test_theory.py::test_every_feature_renders_as_pinned",
             "tests/test_theory.py::test_emitted_programs_run_as_their_dnf_and_cost_what_their_literals_cost",
@@ -302,7 +306,7 @@ MUTANTS = (
     Mutant(
         "always-two-fresh-cars",
         "src/eastwest/theory.py",
-        'range(spec.fragment[0].count("{"))',
+        'range(fragment[0].count("{"))',
         "range(2)",
         ("tests/test_theory.py::test_every_feature_renders_as_pinned",),
     ),
@@ -674,6 +678,30 @@ MUTANTS = (
         '{"feature", "yes"} <= node.keys()',
         ("tests/test_tree.py::test_tree_from_dict_names_a_badly_shaped_node[no-branch]",),
     ),
+    Mutant(
+        "leaf-count-may-be-negative",
+        "src/eastwest/tree.py",
+        "type(self.n_examples) is not int or self.n_examples < 0",
+        "type(self.n_examples) is not int",
+        (
+            "tests/test_tree.py::test_leaf_rejects_a_count_that_is_not_an_int_of_at_least_0[negative]",
+            "tests/test_tree.py::test_tree_from_dict_names_the_path_of_a_bad_leaf[negative-count]",
+        ),
+    ),
+    Mutant(
+        "leaf-count-may-be-a-float",
+        "src/eastwest/tree.py",
+        "type(self.n_examples) is not int or self.n_examples < 0",
+        "self.n_examples < 0",
+        ("tests/test_tree.py::test_leaf_rejects_a_count_that_is_not_an_int_of_at_least_0[float]",),
+    ),
+    Mutant(
+        "leaf-error-without-its-node-path",
+        "src/eastwest/tree.py",
+        'raise ValueError(f"tree node {where}: {exc}") from None',
+        "raise",
+        ("tests/test_tree.py::test_tree_from_dict_names_the_path_of_a_bad_leaf[bad-label]",),
+    ),
 )
 
 
@@ -686,13 +714,11 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def _apply(dest: Path, mutant: Mutant) -> None:
-    path = dest / mutant.file
-    text = path.read_text()
+def _mutated(text: str, mutant: Mutant) -> str:
     found = text.count(mutant.old)
     if found != 1:
         raise SystemExit(f"mutant {mutant.name!r}: {mutant.old!r} occurs {found} times in {mutant.file}, not once")
-    path.write_text(text.replace(mutant.old, mutant.new))
+    return text.replace(mutant.old, mutant.new)
 
 
 def _run(command: list[str], cwd: Path, env: dict[str, str]) -> int | None:
@@ -709,7 +735,8 @@ def _pytest(mutant: Mutant | None, groups: list[tuple[str, ...]]) -> list[int | 
         dest = Path(tmp)
         _copy_tree(dest)
         if mutant is not None:
-            _apply(dest, mutant)
+            path = dest / mutant.file
+            path.write_text(_mutated(path.read_text(), mutant))
         env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
         return [_run([*command, *tests], dest, env) for tests in groups]
@@ -723,22 +750,29 @@ def _verdict(status: int | None) -> str:
     return "killed" if status == 1 else ("SURVIVED" if status == 0 else f"ERROR (pytest exit {status})")
 
 
+def _trial(mutant: Mutant) -> tuple[list[int | None], float]:
+    """The mutant's pytest statuses, one per test, and the seconds they took."""
+    start = time.perf_counter()
+    return _pytest(mutant, [(test,) for test in mutant.tests]), time.perf_counter() - start
+
+
 def main() -> int:
+    for mutant in MUTANTS:  # a stale target stops the run before any test runs
+        _mutated((ROOT / mutant.file).read_text(), mutant)
     control = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     start = time.perf_counter()
     [status] = _pytest(None, [control])
     failure = "timed out" if status is None else f"pytest exit {status}"
     print(f"control: {'passed' if status == 0 else f'FAILED ({failure})'} "
-          f"[{len(control)} tests, {time.perf_counter() - start:.1f} s]")
+          f"[{len(control)} tests, {time.perf_counter() - start:.1f} s]", flush=True)
     ok = status == 0
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        statuses = _pytest(mutant, [(test,) for test in mutant.tests])
-        killed = all(s == 1 for s in statuses)
-        print(f"{mutant.name}: {'killed' if killed else 'NOT KILLED'} [{time.perf_counter() - start:.1f} s]")
-        for test, s in zip(mutant.tests, statuses):
-            print(f"  {_verdict(s)}: {test}")
-        ok &= killed
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, (statuses, seconds) in zip(MUTANTS, pool.map(_trial, MUTANTS)):
+            killed = all(s == 1 for s in statuses)
+            print(f"{mutant.name}: {'killed' if killed else 'NOT KILLED'} [{seconds:.1f} s]", flush=True)
+            for test, s in zip(mutant.tests, statuses):
+                print(f"  {_verdict(s)}: {test}")
+            ok &= killed
     return 0 if ok else 1
 
 
