@@ -18,6 +18,15 @@ would change every report.  A gene is redrawn as
 `low + (high - low) * rng.random()`, the doubles and the arithmetic of
 `Generator.uniform(low, high)`.
 The lone last child of an odd population draws nothing for its sibling.
+Each child's uniforms are drawn into one buffer that `evolve` reuses, which
+reads the same doubles from the stream as a fresh array would.
+
+Inside `evolve` a genome's bias skips `BiasVector`'s checks: the first
+population is drawn within the gene bounds, a mutation redraws a gene within
+them and crossover swaps genes of the same position, so no gene can leave
+its bounds.  The bias's weights are a view of the population row, which is
+never written once it is evaluated.  `genome_to_bias` (and so `best_bias`)
+keeps the checks.
 """
 
 from __future__ import annotations
@@ -91,6 +100,13 @@ def genome_to_bias(genome: np.ndarray) -> BiasVector:
     return BiasVector(genome[:-2].copy(), float(genome[-2]), float(genome[-1]))
 
 
+def _unchecked_bias(genome: np.ndarray) -> BiasVector:
+    """`genome_to_bias` without its copy and checks, for a genome `evolve` built."""
+    bias = object.__new__(BiasVector)
+    bias.__dict__.update(weights=genome[:-2], omega=float(genome[-2]), cf=float(genome[-1]))
+    return bias
+
+
 def evaluate_individual(
     bias: BiasVector,
     matrix: FeatureMatrix,
@@ -121,11 +137,18 @@ def _rank_probabilities(order: np.ndarray) -> np.ndarray:
 
 
 def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> EvolutionResult:
-    """Run the genetic search and return the fittest tree seen overall."""
+    """Run the genetic search and return the fittest tree seen overall.
+    Raises TypeError naming `matrix` or `config` unless they are a
+    `FeatureMatrix` and a `GaConfig`."""
+    if not isinstance(matrix, FeatureMatrix):
+        raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
+    if not isinstance(config, GaConfig):
+        raise TypeError(f"config must be a GaConfig, got {type(config).__name__}")
     rng = np.random.default_rng(config.rng_seed)
     size, length = config.population_size, matrix.n_features + 2
     lows, highs = _gene_bounds(matrix.n_features)
     pop = rng.uniform(lows, highs, size=(size, length))
+    draws, hit = np.empty(length), np.empty(length, dtype=bool)  # one child's uniforms
 
     memo = InductionMemo(matrix)  # lives as long as this run
     best_tree = None
@@ -137,8 +160,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
         memo.next_generation()
         evals = []
         for genome in pop:
-            bias = genome_to_bias(genome)
-            evals.append(evaluate_individual(bias, matrix, costs, config, memo))
+            evals.append(evaluate_individual(_unchecked_bias(genome), matrix, costs, config, memo))
         fitnesses = np.array([rep.fitness for _, rep in evals])
         gen_best = int(np.argmin(fitnesses))
         gen_tree, gen_report = evals[gen_best]
@@ -168,7 +190,8 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
                 i, j = sorted(rng.integers(0, length + 1, size=2))
                 pair[:, i:j] = pair[::-1, i:j]
             for child in pair[: size - k]:  # an odd population's lone last child mutates alone
-                [idx] = (rng.random(length) < MUTATION_RATE).nonzero()
+                rng.random(out=draws)
+                [idx] = np.less(draws, MUTATION_RATE, out=hit).nonzero()
                 if idx.size:  # redraw as rng.uniform(low, highs[idx]) would, without its checks
                     low = lows[idx]
                     child[idx] = low + (highs[idx] - low) * rng.random(idx.size)

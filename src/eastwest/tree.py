@@ -241,12 +241,12 @@ def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMem
 
 
 def _grow(s, den, memo):
-    cand, num = memo.candidates(s)
+    cand, num = memo.splits.get(s) or memo.candidates(s)  # a hit in this generation, in one lookup
     if not cand.size:
         return memo.leaf(s)
     # every candidate's score is finite and positive, so this is the argmax
     # over all features with the non-candidates scored -inf
-    best = int(cand[selection_criterion(num, den[cand]).argmax()])
+    best = int(cand[selection_criterion(num, den.take(cand)).argmax()])
     t = s & memo.cols[best]
     return memo.node(best, _grow(t, den, memo), _grow(s ^ t, den, memo))
 
@@ -255,8 +255,11 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
     """Grow a tree under the given bias, then prune it at bias.cf.
 
     `memo` must belong to `matrix`: `ga.evolve` shares one across its run;
-    by default each call starts a fresh one.
+    by default each call starts a fresh one.  Raises TypeError naming `bias`
+    unless it is a `BiasVector`.
     """
+    if not isinstance(bias, BiasVector):
+        raise TypeError(f"bias must be a BiasVector, got {type(bias).__name__}")
     if matrix.n_trains == 0:
         raise ValueError("matrix must contain at least one example")
     if bias.weights.size != matrix.n_features:

@@ -1,8 +1,10 @@
 import functools
 import gc
+import importlib.util
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,23 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
     assert report.fitness == result.best_report.fitness
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda matrix, costs: evolve(None, costs, small_config()), "matrix"),
+        (lambda matrix, costs: evolve(matrix, costs, None), "config"),
+        (lambda matrix, costs: evolve(matrix, costs, {"population_size": 3}), "config"),
+        (lambda matrix, costs: induce_tree(matrix, None), "bias"),
+        (lambda matrix, costs: induce_tree(matrix, (np.zeros(matrix.n_features), 0.5, 50.0)), "bias"),
+    ],
+    ids=["evolve-matrix", "evolve-config", "evolve-config-dict", "induce-bias", "induce-bias-tuple"],
+)
+def test_learner_entries_raise_a_type_error_naming_the_argument(easy_problem, call, name):
+    matrix, costs = easy_problem
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
+        call(matrix, costs)
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
 def test_evolve_rejects_costs_of_another_length(easy_problem, extra):
     matrix, costs = easy_problem
@@ -321,6 +340,48 @@ def test_evolve_matches_the_list_loop_reference(n_trains, n_features, population
     assert got.best_report == want.best_report
     assert got.best_bias.weights.tobytes() == want.best_bias.weights.tobytes()
     assert (got.best_bias.omega, got.best_bias.cf) == (want.best_bias.omega, want.best_bias.cf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 7, 60, 400]),
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.sampled_from([MUTATION_RATE, 0.05, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_bias_evolve_evaluates_passes_the_checks_and_is_its_genomes(
+    n_features, population_size, generations, rate, seed
+):
+    """`evolve` builds its biases without `BiasVector`'s checks, since its genes
+    lie in their bounds by construction. Each bias it hands `evaluate_individual`
+    must still pass those checks, and must equal `genome_to_bias` of its genome:
+    the reference loop reads the same stream into the same genomes and builds
+    each bias with `genome_to_bias`. The comparison runs after both runs end,
+    so a bias whose weights a later generation overwrote would show."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((12, n_features)) < rng.random(n_features)
+    matrix = FeatureMatrix(tuple(f"t{i}" for i in range(12)), values, rng.random(12) < 0.5)
+    costs = rng.integers(1, 30, size=n_features)
+    config = GaConfig(population_size=population_size, generations=generations, rng_seed=seed % 1000)
+    evaluate, seen = eastwest.ga.evaluate_individual, []
+
+    def recording(bias, *args):
+        seen[-1].append(bias)
+        return evaluate(bias, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eastwest.ga, "evaluate_individual", recording)
+        patch.setattr(eastwest.ga, "MUTATION_RATE", rate)  # both loops read it at call time
+        for run in (evolve, reference_evolve):
+            seen.append([])
+            run(matrix, costs, config)
+    got, want = seen
+    assert len(got) == len(want) == population_size * generations
+    for bias, checked in zip(got, want):
+        assert type(bias) is BiasVector
+        BiasVector(bias.weights, bias.omega, bias.cf)  # raises for a gene out of its bounds
+        assert (bias.weights.tobytes(), bias.omega, bias.cf) == (checked.weights.tobytes(), checked.omega, checked.cf)
 
 
 @pytest.mark.parametrize("rate", [0.2, 1.0])
@@ -492,3 +553,57 @@ def test_costs_and_error_cost_times_4_scale_only_the_fitnesses(data, seed):
     assert history == [
         replace(h, best=4 * h.best, mean=4 * h.mean, best_test_cost=4 * h.best_test_cost) for h in want_history
     ]
+
+
+def _load_spans():
+    """perfbench's span recorder, loaded from its file without editing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's traced counters of its two induce workloads: trains20 at GA
+# seeds 0-4, pop 50 x 20, and 300 random trains at GA seed 0, pop 20 x 5.
+TRACED_COUNTERS = {
+    "trains20": dict(evaluations=5000, split_calls=12926, split_distinct=1008, bounds=2749, trees=716, genomes=4257),
+    "scale300": dict(evaluations=100, split_calls=5987, split_distinct=2724, bounds=2374, trees=52, genomes=81),
+}
+
+
+@pytest.mark.parametrize("data", sorted(TRACED_COUNTERS))
+def test_traced_counters_equal_the_benchmark_table(data, matrix20, full_table, costs20):
+    """The work counts perfbench's hooks record on the two induce workloads.
+    A speed-up that keeps every hooked call keeps these exactly; they are the
+    reference for counters the package may later keep itself."""
+    if data == "trains20":
+        matrix, configs = matrix20, [GaConfig(50, 20, seed) for seed in range(5)]
+    else:
+        matrix, configs = evaluate_features(random_trains(300, 0), full_table), [GaConfig(20, 5, 0)]
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for config in configs:
+            eastwest.ga.evolve(matrix, costs20, config)
+    finally:
+        tracer.uninstall()
+    assert eastwest.ga.evolve is evolve  # uninstalled
+    metrics = spans.layer_metrics(tracer.spans, 0, tracer.distinct, configs[0].generations)
+    want = TRACED_COUNTERS[data]
+    evaluations = want["evaluations"]
+    assert {k: v for k, v in metrics.items() if not k.endswith("_s")} == {
+        "tree.bound_calls": want["bounds"],
+        "tree.bound_distinct": want["bounds"],
+        "tree.prune_calls": evaluations,
+        "tree.induce_calls": evaluations,
+        "tree.split_calls": want["split_calls"],
+        "tree.split_distinct": want["split_distinct"],
+        "tree.fitness_calls": want["trees"],
+        "ga.evaluations": evaluations,
+        "ga.distinct_genomes": want["genomes"],
+        "ga.distinct_trees": want["trees"],
+        "ga.fitness_cache_hit_ratio": (evaluations - want["trees"]) / evaluations,
+        "theory.classify_calls": 0,
+    }

@@ -268,6 +268,37 @@ def test_next_generation_keeps_the_split_entries_read_in_the_last_two():
     assert [x.tobytes() for x in again] == [x.tobytes() for x in a]  # and recomputed to the bit
 
 
+def _walked_subsets(node, s, memo):
+    """The example subset of every node of a grown tree: the subsets whose
+    split entries `_grow` read to grow it."""
+    yield s
+    if isinstance(node, Node):
+        t = s & memo.cols[node.feature]
+        yield from _walked_subsets(node.on_true, t, memo)
+        yield from _walked_subsets(node.on_false, s ^ t, memo)
+
+
+def test_grow_moves_every_split_entry_it_reads_into_this_generation(monkeypatch, matrix20):
+    """`_grow` reads a hit in `memo.splits` itself and leaves the rest to
+    `candidates`, which moves an entry of the previous generation into this
+    one. Every subset a walk read must then sit in `splits` and none in
+    `_last_splits`, so the next generation keeps all of them."""
+    grown = []
+    real_prune = tree_module.prune
+    monkeypatch.setattr(tree_module, "prune", lambda tree, *args: grown.append(tree) or real_prune(tree, *args))
+    rng = np.random.default_rng(0)
+    first, second = (BiasVector(rng.uniform(0, B_MAX, matrix20.n_features), 0.5, 50.0) for _ in range(2))
+    memo = InductionMemo(matrix20)
+    induce_tree(matrix20, first, memo)
+    for bias in (first, second):  # every read hits the last generation, then some do
+        memo.next_generation()
+        induce_tree(matrix20, bias, memo)
+        read = set(_walked_subsets(grown[-1], memo.everyone, memo))
+        assert len(read) > 3
+        assert read <= memo.splits.keys()
+        assert not read & memo._last_splits.keys()
+
+
 # --- selection criterion ----------------------------------------------------
 
 def root_scores(gains, weights, omega):

@@ -212,8 +212,8 @@ MUTANTS = (
     Mutant(
         "mutation-rate-doubled",
         "src/eastwest/ga.py",
-        "rng.random(length) < MUTATION_RATE",
-        "rng.random(length) < 2 * MUTATION_RATE",
+        "np.less(draws, MUTATION_RATE, out=hit)",
+        "np.less(draws, 2 * MUTATION_RATE, out=hit)",
         (
             "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
             "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
@@ -701,6 +701,30 @@ MUTANTS = (
         'raise ValueError(f"tree node {where}: {exc}") from None',
         "raise",
         ("tests/test_tree.py::test_tree_from_dict_names_the_path_of_a_bad_leaf[bad-label]",),
+    ),
+    Mutant(
+        "gene-redraw-past-highs",
+        "src/eastwest/ga.py",
+        "child[idx] = low + (highs[idx] - low) * rng.random(idx.size)",
+        "child[idx] = low + (highs[idx] * 2 - low) * rng.random(idx.size)",
+        ("tests/test_ga.py::test_every_bias_evolve_evaluates_passes_the_checks_and_is_its_genomes",),
+    ),
+    Mutant(
+        "grow-hit-read-from-the-last-generation",
+        "src/eastwest/tree.py",
+        "cand, num = memo.splits.get(s) or memo.candidates(s)",
+        "cand, num = memo._last_splits.get(s) or memo.candidates(s)",
+        ("tests/test_tree.py::test_grow_moves_every_split_entry_it_reads_into_this_generation",),
+    ),
+    Mutant(
+        "induce-takes-any-bias",
+        "src/eastwest/tree.py",
+        "    if not isinstance(bias, BiasVector):\n",
+        "    if False:\n",
+        (
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-bias]",
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-bias-tuple]",
+        ),
     ),
 )
 
