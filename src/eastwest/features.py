@@ -149,13 +149,16 @@ def build_feature_table(feature_set: str | Iterable[str] = "full") -> list[Featu
     only), or an iterable of feature names selecting a custom subset;
     indices are always dense over the returned table.  Raises ValueError
     for any other string, unknown names (a name that is not a string is
-    unknown) or an empty selection.
+    unknown) or an empty selection, and TypeError naming `feature_set` when
+    it is neither a string nor an iterable.
     """
     if isinstance(feature_set, str) and feature_set not in ("full", "unary_train"):
         raise ValueError(
             f"unknown feature set {feature_set!r}: expected 'full', 'unary_train' "
             "or an iterable of feature names"
         )
+    if not isinstance(feature_set, (str, Iterable)):
+        raise TypeError(f"feature_set must be a string or an iterable of names, got {type(feature_set).__name__}")
     first = [p.template for p in CAR_PREDICATES]
     second = [t.replace("{0}", "{1}") for t in first]  # the literal on an infront pair's second car
     templates = (HAS_CAR_TEMPLATE, INFRONT_TEMPLATE, *first, *second, *(t for _, t in TRAIN_PREDICATES))

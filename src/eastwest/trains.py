@@ -10,9 +10,13 @@ skipped so raw challenge files load unmodified.
 
 Text made only of facts in the shape `render_train` writes, with
 whitespace between tokens and `%` comment lines between facts, is read
-fact by fact with one regular expression (`_read_facts`).  Any other text,
-and any text holding an error, is read whole by the token reader, which
-gives each error its line and column.
+fact by fact with one regular expression (`_read_facts`).  Its car pattern
+is built from `CAR_FIELDS` and admits only the values of each field's
+domain, so the one table that checks a `Car` also bounds what the fast
+reader accepts: it checks only that a train's positions run 1..n, and
+builds its records without checking them again.  Any other text, and any
+text holding an error, is read whole by the token reader, which gives each
+error its line and column.
 
 One tokenizer and one token cursor (`_Parser`) serve both the token
 reader and the program scorer: `complexity` checks a program against the
@@ -315,8 +319,11 @@ def complexity(program_text: str) -> int:
 
     This counts every clause, operator (`;`, `not`), predicate, variable and
     constant occurrence, in clauses and facts.  Raises ProgramSyntaxError,
-    naming a line and a column, for text outside the emitter's grammar.
+    naming a line and a column, for text outside the emitter's grammar, and
+    TypeError naming `program_text` unless it is a str.
     """
+    if not isinstance(program_text, str):
+        raise TypeError(f"program_text must be a str, got {type(program_text).__name__}")
     try:
         parser = _ProgParser(program_text)
         parser.parse_program()
@@ -350,27 +357,39 @@ def _spaced(shape: str, **parts: str) -> str:
     return r"\s*".join(parts.get(tok) or re.escape(tok) for tok in _tokenize(shape))
 
 
+def _car_pattern(group: str) -> str:
+    """A car term's pattern, each value in a `group` (a format string such
+    as "({})"): the position any integer, every other field one value of its
+    domain in CAR_FIELDS."""
+    fields = {name.upper(): group.format("|".join(map(str, domain))) for name, domain in CAR_FIELDS}
+    return _spaced(_CAR_TEXT.format("POSITION", *fields), POSITION=group.format(r"\d+"), **fields)
+
+
 @functools.cache  # compiled on first use: at import it would delay every command
 def _fact_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     """The fact, car and end patterns of `_read_facts`.
 
     Atoms and integers are spelled as in `_TOKEN_RE`, so text that these
     patterns accept tokenizes to the tokens they read.  A gap is whitespace
-    and whole `%` comments.
+    and whole `%` comments.  The fact pattern captures only its label and
+    its cars' text, since a group that captures inside its repetition slows
+    every match; the car pattern captures each car's values.
     """
     # the lookahead keeps backtracking from ending a comment early and
     # reading a fact out of the rest of its line
     gap = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
-    car = _spaced(_CAR_TEXT.format(*"IAAAAIAI"), I=r"(\d+)", A="([a-z][A-Za-z0-9_]*)")
+    car = _car_pattern("(?:{})")
     fact = gap + _spaced("L([C]).", L=r"(east|west)bound", C=rf"({car}(?:\s*,\s*{car})*)")
-    return re.compile(fact), re.compile(car), re.compile(gap + r"\Z")
+    return re.compile(fact), re.compile(_car_pattern("({})")), re.compile(gap + r"\Z")
 
 
 def _read_facts(source: str) -> list[Train] | None:
     """The trains of text that holds nothing but train facts of the shape
     render_train writes, with gaps between facts; None for any other text,
-    for an integer too long for int() and for an invalid car or train."""
+    for a position too long for int() and for a fact whose car positions
+    are not 1..n in order."""
     fact, car, end = _fact_patterns()
+    new = tuple.__new__  # unchecked: `car` admits only what Car accepts, and positions are checked below
     trains: list[Train] = []
     counts = {EAST: 0, WEST: 0}
     pos = 0
@@ -378,11 +397,13 @@ def _read_facts(source: str) -> list[Train] | None:
         while m := fact.match(source, pos):
             label = m[1]  # "east" or "west", which are EAST and WEST
             counts[label] += 1
-            cars = [Car(int(p), shape, length, walls, roof, int(axles), load, int(n))
-                    for p, shape, length, walls, roof, axles, load, n in car.findall(m[2])]
-            trains.append(Train(f"{label}{counts[label]}", label, tuple(cars)))
+            cars = tuple([new(Car, (int(p), shape, length, walls, roof, int(axles), load, int(n)))
+                          for p, shape, length, walls, roof, axles, load, n in car.findall(m[2])])
+            if [c.position for c in cars] != list(range(1, len(cars) + 1)):
+                return None  # the token reader reports it
+            trains.append(new(Train, (f"{label}{counts[label]}", label, cars)))
             pos = m.end()
-    except ValueError:  # TrainFormatError is one; the token reader then reports it
+    except ValueError:  # an over-long position; the token reader reports it
         return None
     return trains if end.match(source, pos) else None
 
@@ -391,8 +412,12 @@ def parse_trains(source: str) -> list[Train]:
     """Parse eastbound/westbound facts into Train values, in file order.
 
     Unrelated clauses are skipped.  Ids are assigned east1.., west1.. per
-    label in order of appearance.
+    label in order of appearance.  Raises TrainFormatError, naming a line
+    and a column, for a train fact that cannot be read, and TypeError naming
+    `source` unless it is a str.
     """
+    if not isinstance(source, str):
+        raise TypeError(f"source must be a str, got {type(source).__name__}")
     trains = _read_facts(source)
     if trains is not None:
         return trains
@@ -467,10 +492,13 @@ def random_trains(count: int, seed: int) -> list[Train]:
 
     These are synthetic stand-ins for experiments; they are not the
     challenge trains.  Labels are assigned uniformly at random and carry
-    no hidden rule.
+    no hidden rule.  Raises TypeError naming `count` unless it is an
+    integer (a Python or NumPy one), and ValueError for a negative one.
     """
     import numpy as np
 
+    if not isinstance(count, (int, np.integer)):
+        raise TypeError(f"count must be an integer, got {type(count).__name__}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)

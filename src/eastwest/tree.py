@@ -231,6 +231,11 @@ class InductionMemo:
         return found
 
 
+def _check_matrix(matrix) -> None:
+    if not isinstance(matrix, FeatureMatrix):
+        raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
+
+
 def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMemo:
     """`memo`, checked to belong to `matrix`; a fresh memo when it is None."""
     if memo is None:
@@ -256,10 +261,11 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
 
     `memo` must belong to `matrix`: `ga.evolve` shares one across its run;
     by default each call starts a fresh one.  Raises TypeError naming `bias`
-    unless it is a `BiasVector`.
+    or `matrix` unless they are a `BiasVector` and a `FeatureMatrix`.
     """
     if not isinstance(bias, BiasVector):
         raise TypeError(f"bias must be a BiasVector, got {type(bias).__name__}")
+    _check_matrix(matrix)
     if matrix.n_trains == 0:
         raise ValueError("matrix must contain at least one example")
     if bias.weights.size != matrix.n_features:
@@ -314,12 +320,14 @@ def _prune(node, cf, s, memo):
 def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | None = None) -> Tree:
     """Pessimistic leaf-replacement pruning at confidence level cf (percent);
     the result is computed once per tree object and cf in the memo.  Raises
-    ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX].
+    ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX],
+    and TypeError naming `matrix` unless it is a `FeatureMatrix`.
     Feature indices are not checked, as that would walk every tree on every
     evaluation: one past the columns raises IndexError, and a negative one
     counts from the last column."""
     if not _within("cf", cf, CF_MIN, CF_MAX):
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
+    _check_matrix(matrix)
     memo = _memo_for(matrix, memo)
     key = (id(tree), cf)
     found = memo.pruned.get(key)

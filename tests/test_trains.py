@@ -19,6 +19,7 @@ from eastwest.trains import (
     TrainFormatError,
     _kind,
     _tokenize,
+    complexity,
     load_trains,
     parse_trains,
     random_trains,
@@ -169,10 +170,8 @@ def test_syntax_error_carries_position():
     assert exc.value.column is not None
 
 
-CARS_1_3 = (
-    "c(1,rectangle,short,not_double,none,2,l(circle,1)), "
-    "c(3,rectangle,short,not_double,none,2,l(circle,1))"
-)
+def cars_at(*positions):
+    return ", ".join(f"c({p},rectangle,short,not_double,none,2,l(circle,1))" for p in positions)
 
 
 @pytest.mark.parametrize(
@@ -186,7 +185,7 @@ CARS_1_3 = (
         (FIRST_TRAIN_FACT + "\n% note\neastbound([c(1, % trailing comment", 15,
          "unexpected end of input"),
         ("% header\r\n\r\n  eastbound([c(1, ?\r\n", 19, "unexpected character '?'"),
-        ("% header\r\n\r\nwestbound([" + CARS_1_3 + "]).\r\n", 1,
+        ("% header\r\n\r\nwestbound([" + cars_at(1, 3) + "]).\r\n", 1,
          "west1: car positions must be exactly 1..2 in order, got [1, 3]"),
         ("% header\n\n    eastbound([c(1,blob,short,not_double,none,2,l(circle,1))]).\n", 16,
          "car shape must be one of ('rectangle', 'hexagon', 'ellipse', 'u_shaped', 'bucket'), got 'blob'"),
@@ -196,11 +195,19 @@ CARS_1_3 = (
          "expected a c/7 car term, found d(1,rectangle,short,not_double,none,2,l(circle,1))"),
         ("% header\n\n    eastbound([c(1,rectangle,short,not_double,none,2,m(circle,1))]).\n", 16,
          "expected an l/2 load term, found m(circle,1)"),
+        ("% header\n\nwestbound([" + cars_at("7" * 5000) + "]).\n", 14, "integer of 5000 digits is too long"),
+        # positions that the fact pattern matches but Train or Car rejects
+        ("% header\n\neastbound([" + cars_at(2, 1) + "]).\n", 1,
+         "east1: car positions must be exactly 1..2 in order, got [2, 1]"),
+        ("% header\n\neastbound([" + cars_at(0, 1) + "]).\n", 12, "car position must be an integer >= 1, got 0"),
+        ("% header\n\neastbound([" + cars_at(1, 2, 2) + "]).\n", 1,
+         "east1: car positions must be exactly 1..3 in order, got [1, 2, 2]"),
     ],
     ids=[
         "unexpected-character", "car-arity", "over-long-integer", "after-comment-line",
         "end-after-trailing-comment", "crlf-character", "crlf-train", "car-field-value",
         "over-long-integer-in-car-term", "car-functor", "load-functor",
+        "over-long-position", "positions-swapped", "position-zero", "position-repeated",
     ],
 )
 def test_errors_carry_line_and_column(source, column, message):
@@ -208,6 +215,7 @@ def test_errors_carry_line_and_column(source, column, message):
         parse_trains(source)
     assert (exc.value.line, exc.value.column) == (3, column)
     assert str(exc.value) == f"line 3, column {column}: {message}"
+    assert parse_or_error(source) == term_reader_or_error(source)
 
 
 def test_unrelated_clauses_are_skipped():
@@ -284,13 +292,18 @@ def term_reader_or_error(text):
 
 # a car term's ten parts are its functor, its position, its CAR_FIELDS values and
 # its load functor; at most one part is replaced by text of the wrong kind, out
-# of its domain, compound, a variable or an over-long integer
-PART_FAULTS = ("d", "blob", "7", "f(a)", "X", "7" * 5000)
-faulty_cars = st.tuples(
-    st.tuples(*(st.sampled_from([str(v) for v in domain]) for _, domain in CAR_FIELDS)),
-    st.integers(-3, 9),  # the part replaced; none when negative
-    st.sampled_from(PART_FAULTS),
-)
+# of its domain, compound, a variable or an over-long integer, or by text one
+# edit away from a domain value, which the fact pattern must not take either
+PART_FAULTS = ("d", "blob", "7", "f(a)", "X", "7" * 5000,
+               "rectangl", "rectangles", "u_shape", "longer", "02", "4")
+
+
+def faulty_cars(lowest_fault):
+    return st.tuples(
+        st.tuples(*(st.sampled_from([str(v) for v in domain]) for _, domain in CAR_FIELDS)),
+        st.integers(lowest_fault, 9),  # the part replaced; none when negative
+        st.sampled_from(PART_FAULTS),
+    )
 
 
 def car_text(position, fields, fault, text):
@@ -301,10 +314,41 @@ def car_text(position, fields, fault, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["eastbound", "westbound"]), st.lists(faulty_cars, min_size=1, max_size=3))
+@given(st.sampled_from(["eastbound", "westbound"]), st.lists(faulty_cars(-3), min_size=1, max_size=3))
 def test_car_term_fast_reader_matches_the_term_reader(functor, cars):
     text = f"{functor}([{', '.join(car_text(i, *car) for i, car in enumerate(cars, 1))}]).\n"
     assert parse_or_error(text) == term_reader_or_error(text)
+
+
+def test_every_part_fault_reads_as_the_term_reader_reads_it():
+    # each of the ten parts of one car replaced by each fault, so that no
+    # field's pattern wider than its domain depends on what hypothesis draws
+    fields = tuple(str(domain[0]) for _, domain in CAR_FIELDS)
+    for fault in range(10):
+        for text in PART_FAULTS:
+            fact = f"eastbound([{car_text(1, fields, fault, text)}]).\n"
+            assert parse_or_error(fact) == term_reader_or_error(fact), fact[:80]
+
+
+# a car's position is its place in the train (None) or one of 0..4; most cars
+# have no fault and their place, so that the fact reader takes many facts
+placed_cars = st.lists(st.tuples(st.sampled_from((None,) * 5 + tuple(range(5))), faulty_cars(-30)),
+                       min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_cars)
+def test_the_fact_reader_builds_only_records_that_pass_their_checks(cars):
+    text = "westbound([{}]).\n".format(
+        ", ".join(car_text(i if p is None else p, *car) for i, (p, car) in enumerate(cars, 1)))
+    trains = trains_mod._read_facts(text)
+    if trains is not None:
+        # built without their checks, each record must still be the one that
+        # the checking constructor builds from its values
+        for train in trains:
+            assert type(train) is Train and train == Train(*train)
+            assert all(type(car) is Car and car == Car(*car) for car in train.cars)
+        assert trains == term_reader_or_error(text)
 
 
 SPACES = ("", " ", "\t", "\r", "\n", "\u2003")
@@ -398,9 +442,31 @@ def test_parse_peak_memory_of_2000_trains():
         assert peak < 6 * 2**20
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: parse_trains(None), "source"),
+        (lambda: parse_trains(FIRST_TRAIN_FACT.encode()), "source"),
+        (lambda: complexity(b"p."), "program_text"),
+        (lambda: random_trains("3", 0), "count"),
+        (lambda: build_feature_table(5), "feature_set"),
+    ],
+    ids=["parse-none", "parse-bytes", "complexity-bytes", "random-count-str", "table-int"],
+)
+def test_front_end_entries_raise_a_type_error_naming_the_argument(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a"):
+        call()
+
+
 def test_random_trains_rejects_negative_count():
     with pytest.raises(ValueError):
         random_trains(-1, seed=0)
+
+
+def test_random_trains_takes_a_numpy_count():
+    import numpy as np
+
+    assert random_trains(np.int64(3), 0) == random_trains(3, 0)
 
 
 @pytest.mark.parametrize(

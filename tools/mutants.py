@@ -145,10 +145,39 @@ MUTANTS = (
         "src/eastwest/trains.py",
         "        return None\n    return trains if",
         "        return trains\n    return trains if",
+        ("tests/test_trains.py::test_errors_carry_line_and_column[over-long-position]",),
+    ),
+    Mutant(
+        "fact-shape-takes-any-atom",
+        "src/eastwest/trains.py",
+        'POSITION=group.format(r"\\d+"), **fields)',
+        'POSITION=group.format(r"\\d+"), **{**fields, "SHAPE": group.format("[a-z][A-Za-z0-9_]*")})',
         (
             "tests/test_trains.py::test_errors_carry_line_and_column[car-field-value]",
+            "tests/test_trains.py::test_every_part_fault_reads_as_the_term_reader_reads_it",
+        ),
+    ),
+    Mutant(
+        "fact-axles-take-any-digit",
+        "src/eastwest/trains.py",
+        'POSITION=group.format(r"\\d+"), **fields)',
+        'POSITION=group.format(r"\\d+"), **{**fields, "AXLES": group.format(r"\\d")})',
+        (
+            "tests/test_trains.py::test_axles_out_of_range_rejected",
+            "tests/test_trains.py::test_every_part_fault_reads_as_the_term_reader_reads_it",
+        ),
+    ),
+    Mutant(
+        "fact-positions-unchecked",
+        "src/eastwest/trains.py",
+        "if [c.position for c in cars] != list(range(1, len(cars) + 1)):",
+        "if False:",
+        (
+            "tests/test_trains.py::test_errors_carry_line_and_column[positions-swapped]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[position-zero]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[position-repeated]",
             "tests/test_trains.py::test_errors_carry_line_and_column[crlf-train]",
-            "tests/test_trains.py::test_errors_carry_line_and_column[over-long-integer-in-car-term]",
+            "tests/test_trains.py::test_the_fact_reader_builds_only_records_that_pass_their_checks",
         ),
     ),
     Mutant(
@@ -724,6 +753,16 @@ MUTANTS = (
         (
             "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-bias]",
             "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-bias-tuple]",
+        ),
+    ),
+    Mutant(
+        "learner-takes-any-matrix",
+        "src/eastwest/tree.py",
+        "    if not isinstance(matrix, FeatureMatrix):\n",
+        "    if False:\n",
+        (
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-matrix]",
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[prune-matrix]",
         ),
     ),
 )
