@@ -41,7 +41,7 @@ import numpy as np
 from .features import FeatureMatrix
 from .tree import (
     BiasVector, FitnessReport, InductionMemo, Tree, B_MAX, CF_MIN, CF_MAX, ERROR_COST, OMEGA_MIN, OMEGA_MAX,
-    fitness, induce_tree,
+    _check_matrix, fitness, induce_tree,
 )
 
 
@@ -140,8 +140,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
     """Run the genetic search and return the fittest tree seen overall.
     Raises TypeError naming `matrix` or `config` unless they are a
     `FeatureMatrix` and a `GaConfig`."""
-    if not isinstance(matrix, FeatureMatrix):
-        raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
+    _check_matrix(matrix)
     if not isinstance(config, GaConfig):
         raise TypeError(f"config must be a GaConfig, got {type(config).__name__}")
     rng = np.random.default_rng(config.rng_seed)

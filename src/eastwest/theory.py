@@ -39,8 +39,11 @@ class Theory(NamedTuple):
 
 
 def tree_to_dnf(tree: Tree) -> Theory:
-    """One conjunction per root-to-east-leaf path."""
-    from .tree import Leaf  # the learner and numpy load only where a tree is read
+    """One conjunction per root-to-east-leaf path.  Raises TypeError naming
+    `tree` unless its root is a `Node` or a `Leaf`."""
+    from .tree import Leaf, _check_tree  # the learner and numpy load only where a tree is read
+
+    _check_tree(tree)
 
     conjunctions: list[Conjunction] = []
 
@@ -57,8 +60,16 @@ def tree_to_dnf(tree: Tree) -> Theory:
 
 
 def _used_features(dnf: Sequence[Conjunction], n_features: int) -> list[int]:
-    """The feature indices the DNF reads, in order.  Raises ValueError
-    naming a literal whose index is outside [0, n_features)."""
+    """The feature indices the DNF reads, in order.  Raises TypeError naming
+    `dnf` unless it is a sequence of conjunctions of (int, int) literals,
+    and ValueError naming a literal whose index is outside [0, n_features)."""
+    well_formed = isinstance(dnf, (tuple, list)) and all(
+        isinstance(conj, (tuple, list))
+        and all(type(lit) is tuple and len(lit) == 2 and type(lit[0]) is type(lit[1]) is int for lit in conj)
+        for conj in dnf
+    )
+    if not well_formed:
+        raise TypeError("dnf must be a sequence of conjunctions, each a sequence of (int, int) literals")
     used = sorted({feat for conj in dnf for feat, _ in conj})
     if used and (used[0] < 0 or used[-1] >= n_features):
         bad = used[0] if used[0] < 0 else used[-1]
@@ -92,7 +103,8 @@ def _east_rows(dnf: Sequence[Conjunction], cols: dict[int, int], everyone: int) 
 
 def evaluate_dnf(dnf: Sequence[Conjunction], values: np.ndarray) -> np.ndarray:
     """Boolean east-predictions of a DNF on feature-matrix rows.  Raises
-    ValueError naming a literal whose feature index is not a column."""
+    ValueError naming a literal whose feature index is not a column, and
+    TypeError naming `dnf` for a DNF of the wrong shape."""
     import numpy as np
 
     n = values.shape[0]
@@ -108,7 +120,8 @@ def simplify_dnf(theory: Theory, matrix: FeatureMatrix) -> Theory:
     One pass: negated literals first, then positive ones, each in
     conjunction order.  The simplified theory classifies the training set
     exactly as the input theory does.  Raises ValueError naming a literal
-    whose feature index is not a column of the matrix.
+    whose feature index is not a column of the matrix, and TypeError naming
+    `dnf` for a DNF of the wrong shape.
     """
     cols, everyone = _row_sets(theory.dnf, matrix.values)
     west = everyone & ~_east_rows(theory.dnf, cols, everyone)
@@ -155,11 +168,12 @@ def render_program(theory: Theory, table: Sequence[FeatureSpec]) -> str:
 
     With two or more disjuncts that each bind a single car variable, one
     shared has_car literal for car `C` is hoisted in front of the disjunction.
-    Raises ValueError naming a literal whose feature index is not in the table.
+    Raises ValueError naming a literal whose feature index is not in the
+    table, and TypeError naming `dnf` for a DNF of the wrong shape.
     """
+    _used_features(theory.dnf, len(table))
     if not theory.dnf:
         return ""
-    _used_features(theory.dnf, len(table))
     hoists = sum(any(val == 1 and table[f].fragment[0] == HAS_CAR_TEMPLATE for f, val in c) for c in theory.dnf)
     hoisted_var = "C" if hoists >= 2 else None
     names = itertools.count(1)
@@ -205,7 +219,8 @@ def classify(theory: Theory, train: Train, table: Sequence[FeatureSpec]) -> str:
 def agreement(a: Theory, b: Theory, trains: Sequence[Train], table: Sequence[FeatureSpec]) -> float:
     """Fraction of trains the two theories classify identically.  Raises
     ValueError for an empty train list, or naming a literal whose feature
-    index is not in the table."""
+    index is not in the table; TypeError naming `dnf` for a DNF of the
+    wrong shape."""
     if not trains:
         raise ValueError("agreement needs a nonempty train list")
     for theory in (a, b):

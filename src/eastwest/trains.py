@@ -8,15 +8,15 @@ ground Prolog fact format used by the East-West train files::
 Only this fact grammar is understood; any other clause in the input is
 skipped so raw challenge files load unmodified.
 
-Text made only of facts in the shape `render_train` writes, with
-whitespace between tokens and `%` comment lines between facts, is read
-fact by fact with one regular expression (`_read_facts`).  Its car pattern
-is built from `CAR_FIELDS` and admits only the values of each field's
-domain, so the one table that checks a `Car` also bounds what the fast
-reader accepts: it checks only that a train's positions run 1..n, and
-builds its records without checking them again.  Any other text, and any
-text holding an error, is read whole by the token reader, which gives each
-error its line and column.
+The text is read once, left to right.  The facts of `render_train`'s shape
+that open it, with whitespace between tokens and `%` comment lines between
+facts, are read fact by fact with one regular expression (`_read_facts`).
+Its car pattern is built from `CAR_FIELDS` and admits only the values of
+each field's domain, so the one table that checks a `Car` also bounds what
+the fast reader accepts: it checks only that a train's positions run 1..n,
+and builds its records without checking them again.  The token reader reads
+the rest from the first clause the fast reader cannot take, counts ids on,
+and gives each error its line and column in the whole text.
 
 One tokenizer and one token cursor (`_Parser`) serve both the token
 reader and the program scorer: `complexity` checks a program against the
@@ -162,26 +162,26 @@ def _kind(token: str) -> str | None:
     return token if token in _PUNCTUATION else None
 
 
-def _token_position(source: str, index: int) -> tuple[int, int]:
-    """1-based (line, column) of the index-th token, or of the text's start
-    when there is no such token.
+def _token_position(source: str, index: int, start: int = 0) -> tuple[int, int]:
+    """1-based (line, column) in the whole of `source` of the index-th token
+    from offset `start`, or of the text's start when there is no such token.
 
     Tokens carry no offsets: the text is rescanned, only when an error is
     raised.
     """
-    starts = [m.start() for m in _TOKEN_RE.finditer(source) if source[m.start()] != "%"]
+    starts = [m.start() for m in _TOKEN_RE.finditer(source, start) if source[m.start()] != "%"]
     offset = starts[index] if index < len(starts) else 0
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[str]:
-    """The tokens' texts; comments are dropped."""
-    tokens = [text for text in _TOKEN_RE.findall(source) if text[0] != "%"]
+def _tokenize(source: str, start: int = 0) -> list[str]:
+    """The texts of the tokens from offset `start` on; comments are dropped."""
+    tokens = [text for text in _TOKEN_RE.findall(source, start) if text[0] != "%"]
     # a text has few distinct tokens; the first bad one is looked for only
     # when one of them has no kind
     if None in map(_kind, set(tokens)):
         index = next(i for i, text in enumerate(tokens) if _kind(text) is None)
-        raise TrainFormatError(f"unexpected character {tokens[index]!r}", *_token_position(source, index))
+        raise TrainFormatError(f"unexpected character {tokens[index]!r}", *_token_position(source, index, start))
     return tokens
 
 
@@ -209,14 +209,15 @@ class _Compound(tuple):
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, start: int = 0):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.start = start
+        self.tokens = _tokenize(source, start)
         self.i = 0
 
     def error(self, message: str, index: int) -> TrainFormatError:
         """The error at the index-th token."""
-        return TrainFormatError(message, *_token_position(self.source, index))
+        return TrainFormatError(message, *_token_position(self.source, index, self.start))
 
     def peek(self) -> str | None:
         """The next token; None past the last one."""
@@ -366,8 +367,8 @@ def _car_pattern(group: str) -> str:
 
 
 @functools.cache  # compiled on first use: at import it would delay every command
-def _fact_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The fact, car and end patterns of `_read_facts`.
+def _fact_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The fact and car patterns of `_read_facts`.
 
     Atoms and integers are spelled as in `_TOKEN_RE`, so text that these
     patterns accept tokenizes to the tokens they read.  A gap is whitespace
@@ -380,32 +381,30 @@ def _fact_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     gap = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
     car = _car_pattern("(?:{})")
     fact = gap + _spaced("L([C]).", L=r"(east|west)bound", C=rf"({car}(?:\s*,\s*{car})*)")
-    return re.compile(fact), re.compile(_car_pattern("({})")), re.compile(gap + r"\Z")
+    return re.compile(fact), re.compile(_car_pattern("({})"))
 
 
-def _read_facts(source: str) -> list[Train] | None:
-    """The trains of text that holds nothing but train facts of the shape
-    render_train writes, with gaps between facts; None for any other text,
-    for a position too long for int() and for a fact whose car positions
-    are not 1..n in order."""
-    fact, car, end = _fact_patterns()
+def _read_facts(source: str, trains: list[Train], counts: dict[str, int]) -> int:
+    """Read the facts of render_train's shape that open `source`, appending
+    their trains to `trains` and counting ids in `counts`; return the offset
+    where they stop: at other text, at a fact whose car positions are not
+    1..n in order, or at a position too long for int()."""
+    fact, car = _fact_patterns()
     new = tuple.__new__  # unchecked: `car` admits only what Car accepts, and positions are checked below
-    trains: list[Train] = []
-    counts = {EAST: 0, WEST: 0}
     pos = 0
     try:
         while m := fact.match(source, pos):
-            label = m[1]  # "east" or "west", which are EAST and WEST
-            counts[label] += 1
             cars = tuple([new(Car, (int(p), shape, length, walls, roof, int(axles), load, int(n)))
                           for p, shape, length, walls, roof, axles, load, n in car.findall(m[2])])
             if [c.position for c in cars] != list(range(1, len(cars) + 1)):
-                return None  # the token reader reports it
+                break  # the token reader reports it
+            label = m[1]  # "east" or "west", which are EAST and WEST
+            counts[label] += 1
             trains.append(new(Train, (f"{label}{counts[label]}", label, cars)))
             pos = m.end()
     except ValueError:  # an over-long position; the token reader reports it
-        return None
-    return trains if end.match(source, pos) else None
+        pass
+    return pos
 
 
 def parse_trains(source: str) -> list[Train]:
@@ -418,18 +417,18 @@ def parse_trains(source: str) -> list[Train]:
     """
     if not isinstance(source, str):
         raise TypeError(f"source must be a str, got {type(source).__name__}")
-    trains = _read_facts(source)
-    if trains is not None:
-        return trains
-    try:
-        return _parse_facts(_Parser(source))
-    except RecursionError:
-        raise TrainFormatError("terms are nested too deeply") from None
-
-
-def _parse_facts(parser: _Parser) -> list[Train]:
     trains: list[Train] = []
     counts = {EAST: 0, WEST: 0}
+    start = _read_facts(source, trains, counts)
+    try:
+        _parse_facts(_Parser(source, start), trains, counts)
+    except RecursionError:
+        raise TrainFormatError("terms are nested too deeply") from None
+    return trains
+
+
+def _parse_facts(parser: _Parser, trains: list[Train], counts: dict[str, int]) -> None:
+    """Append the trains the parser reads to `trains`, counting on in `counts`."""
     while parser.peek() is not None:
         start = parser.i
         tok = parser.next()
@@ -463,7 +462,6 @@ def _parse_facts(parser: _Parser) -> list[Train]:
                 raise parser.error(f"{train_id}: {exc}", start) from None
         elif tok != ".":
             parser.skip_clause()
-    return trains
 
 
 def render_car(car: Car) -> str:

@@ -236,6 +236,12 @@ def _check_matrix(matrix) -> None:
         raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
 
 
+def _check_tree(tree) -> None:
+    """Checks the root only: a walk would visit every node on every call."""
+    if not isinstance(tree, (Node, Leaf)):
+        raise TypeError(f"tree must be a Node or a Leaf, got {type(tree).__name__}")
+
+
 def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMemo:
     """`memo`, checked to belong to `matrix`; a fresh memo when it is None."""
     if memo is None:
@@ -348,7 +354,11 @@ def _predict(node, values, idx, out):
 def predict_all(tree: Tree, matrix: FeatureMatrix) -> np.ndarray:
     """Boolean predictions (True = east) for every row of the matrix; a tree
     feature index past the columns raises IndexError, and a negative one
-    counts from the last column."""
+    counts from the last column.  Raises TypeError naming `matrix` unless it
+    is a `FeatureMatrix`, and naming `tree` unless its root is a `Node` or a
+    `Leaf`."""
+    _check_matrix(matrix)
+    _check_tree(tree)
     predictions = np.empty(matrix.n_trains, dtype=bool)
     _predict(tree, matrix.values, np.arange(matrix.n_trains), predictions)
     return predictions
@@ -377,7 +387,9 @@ def fitness(
 ) -> FitnessReport:
     """Score a tree: static test cost plus error_rate * error_cost.  Raises
     ValueError naming `costs` unless they are finite whole numbers >= 0, one
-    per feature; feature indices are read as in `predict_all`."""
+    per feature; `tree` and `matrix` are checked, and feature indices read,
+    as in `predict_all`."""
+    _check_matrix(matrix)
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
     costs = np.asarray(costs)

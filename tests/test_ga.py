@@ -29,7 +29,8 @@ from eastwest.ga import (
 from eastwest.theory import finalize, simplify_dnf, tree_to_dnf
 from eastwest.trains import Car, Train, load_trains, random_trains
 from eastwest.tree import (
-    ERROR_COST, BiasVector, InductionMemo, Leaf, _majority, fitness, induce_tree, prune, tree_signature,
+    ERROR_COST, BiasVector, InductionMemo, Leaf, _majority, fitness, induce_tree, predict_all, prune,
+    tree_signature,
 )
 
 from oracles import reference_evolve, reference_induce
@@ -214,9 +215,17 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
         (lambda matrix, costs: induce_tree(matrix, (np.zeros(matrix.n_features), 0.5, 50.0)), "bias"),
         (lambda matrix, costs: induce_tree(None, BiasVector(np.zeros(matrix.n_features), 0.5, 25.0)), "matrix"),
         (lambda matrix, costs: prune(Leaf("east", 1), 25.0, None), "matrix"),
+        (lambda matrix, costs: predict_all(Leaf("east", 1), None), "matrix"),
+        (lambda matrix, costs: fitness(Leaf("east", 1), None, costs), "matrix"),
+        (lambda matrix, costs: predict_all(None, matrix), "tree"),
+        (lambda matrix, costs: predict_all({"leaf": "east"}, matrix), "tree"),
+        (lambda matrix, costs: fitness("east", matrix, costs), "tree"),
+        (lambda matrix, costs: tree_to_dnf(None), "tree"),
+        (lambda matrix, costs: tree_to_dnf(("east",)), "tree"),
     ],
     ids=["evolve-matrix", "evolve-config", "evolve-config-dict", "induce-bias", "induce-bias-tuple",
-         "induce-matrix", "prune-matrix"],
+         "induce-matrix", "prune-matrix", "predict-matrix", "fitness-matrix", "predict-tree-none",
+         "predict-tree-dict", "fitness-tree-str", "dnf-tree-none", "dnf-tree-tuple"],
 )
 def test_learner_entries_raise_a_type_error_naming_the_argument(easy_problem, call, name):
     matrix, costs = easy_problem

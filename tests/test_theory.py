@@ -238,6 +238,25 @@ def test_render_program_names_a_feature_index_outside_the_table(full_table, inde
         render_program(theory, full_table)
 
 
+@pytest.mark.parametrize(
+    "dnf",
+    [None, "ab", 5, ((0, 1),), (((0, 1, 1),),), (([0, 1],),), ((("short", 1),),), (((0, None),),)],
+    ids=["none", "str", "int", "literal-as-conjunction", "triple", "list-literal", "named-literal", "none-value"],
+)
+@pytest.mark.parametrize("call", ["evaluate", "simplify", "render", "finalize", "agreement"])
+def test_a_dnf_of_the_wrong_shape_is_a_type_error_naming_it(trains20, matrix20, full_table, dnf, call):
+    theory = Theory(dnf=dnf)
+    calls = {
+        "evaluate": lambda: evaluate_dnf(dnf, matrix20.values),
+        "simplify": lambda: simplify_dnf(theory, matrix20),
+        "render": lambda: render_program(theory, full_table),
+        "finalize": lambda: finalize(theory, full_table),
+        "agreement": lambda: agreement(Theory(dnf=()), theory, trains20, full_table),
+    }
+    with pytest.raises(TypeError, match="^dnf must be a sequence of conjunctions"):
+        calls[call]()
+
+
 # --- rendering and complexity -----------------------------------------------
 
 def test_reference_program_text_and_complexity(reference_tree, matrix20, full_table):

@@ -286,7 +286,7 @@ def parse_or_error(text):
 def term_reader_or_error(text):
     """parse_or_error with the fact reader switched off, so the token reader
     reads all of the text."""
-    with mock.patch.object(trains_mod, "_read_facts", lambda source: None):
+    with mock.patch.object(trains_mod, "_read_facts", lambda source, trains, counts: 0):
         return parse_or_error(text)
 
 
@@ -341,14 +341,14 @@ placed_cars = st.lists(st.tuples(st.sampled_from((None,) * 5 + tuple(range(5))),
 def test_the_fact_reader_builds_only_records_that_pass_their_checks(cars):
     text = "westbound([{}]).\n".format(
         ", ".join(car_text(i if p is None else p, *car) for i, (p, car) in enumerate(cars, 1)))
-    trains = trains_mod._read_facts(text)
-    if trains is not None:
-        # built without their checks, each record must still be the one that
-        # the checking constructor builds from its values
-        for train in trains:
-            assert type(train) is Train and train == Train(*train)
-            assert all(type(car) is Car and car == Car(*car) for car in train.cars)
-        assert trains == term_reader_or_error(text)
+    trains = []
+    end = trains_mod._read_facts(text, trains, {"east": 0, "west": 0})
+    # built without their checks, each record must still be the one that the
+    # checking constructor builds from its values
+    for train in trains:
+        assert type(train) is Train and train == Train(*train)
+        assert all(type(car) is Car and car == Car(*car) for car in train.cars)
+    assert trains == term_reader_or_error(text[:end])
 
 
 SPACES = ("", " ", "\t", "\r", "\n", "\u2003")
@@ -376,7 +376,12 @@ def test_spaced_and_commented_facts_read_as_the_term_reader_reads_them(count, se
     text = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
     assert parse_trains(text) == term_reader_or_error(text) == trains
     inside_a_fact = 0 < comment_at < len(tokens) and tokens[comment_at - 1] != "."
-    assert (trains_mod._read_facts(text) is None) == inside_a_fact
+    # the fact reader takes each fact before the one that holds the comment,
+    # and stops before the end only there
+    read = []
+    end = trains_mod._read_facts(text, read, {"east": 0, "west": 0})
+    assert read == trains[:tokens[:comment_at].count(".") if inside_a_fact else count]
+    assert (_tokenize(text, end) != []) == inside_a_fact
 
 
 EDIT_CHARACTERS = "ceilstw019_XA()[],.;:% \t\r\n\u2003\u0663\u00e9"
@@ -411,20 +416,50 @@ def test_non_ascii_decimal_digits_are_integers_on_both_readers():
     assert parse_trains(fact) == term_reader_or_error(fact) == expected
 
 
+def recording_parser(seen):
+    """A `_Parser` that appends the tokens it is given to `seen`."""
+    class Recording(trains_mod._Parser):
+        def __init__(self, source, start=0):
+            super().__init__(source, start)
+            seen.append(self.tokens)
+
+    return mock.patch.object(trains_mod, "_Parser", Recording)
+
+
 def test_writer_shaped_cars_never_reach_the_term_reader(trains10, trains20):
     # the fact reader takes all of render_trains' output and of each bundled
-    # file, so the token reader's parser is never built
-    def refuse(source):
-        raise AssertionError("the token reader was called")
-
+    # file, so the token reader gets no token
     cases = [
         (render_trains(random_trains(200, 1)), random_trains(200, 1)),
         (Path(data_path("trains10.pl")).read_text(encoding="utf-8"), trains10),
         (Path(data_path("trains20.pl")).read_text(encoding="utf-8"), trains20),
     ]
-    with mock.patch.object(trains_mod, "_Parser", refuse):
+    seen = []
+    with recording_parser(seen):
         for text, expected in cases:
             assert parse_trains(text) == expected
+    assert seen == [[]] * len(cases)
+
+
+def test_the_token_reader_reads_on_from_the_fact_that_stops_the_fact_reader():
+    # a writer-shaped fact, one whose axles are spelled 02, and another
+    # writer-shaped fact: the token reader gets the tokens from the second
+    # fact on and counts ids on from the first
+    trains = [Train(f"east{i}", "east", (Car(1, "rectangle", "short", "not_double", "none", 2, "circle", i),))
+              for i in (1, 2, 3)]
+    facts = [render_train(t) for t in trains]
+    facts[1] = facts[1].replace(", 2, l(", ", 02, l(")
+    text = "".join(facts)
+    seen = []
+    with recording_parser(seen):
+        assert parse_trains(text) == trains
+    assert seen == [_tokenize(facts[1] + facts[2])]
+    assert term_reader_or_error(text) == trains
+    # an error after the handoff keeps its line and column in the whole text
+    # and the id the token reader alone gives it
+    text += "% a comment line\neastbound([" + cars_at(2) + "]).\n"
+    expected = ("line 5, column 1: east4: car positions must be exactly 1..1 in order, got [2]", 5, 1)
+    assert parse_or_error(text) == term_reader_or_error(text) == expected
 
 
 def test_parse_peak_memory_of_2000_trains():

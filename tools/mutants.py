@@ -131,21 +131,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "fact-reader-without-end-check",
+        "token-reader-rereads-from-the-start",
         "src/eastwest/trains.py",
-        "return trains if end.match(source, pos) else None",
-        "return trains",
+        "_parse_facts(_Parser(source, start), trains, counts)",
+        "_parse_facts(_Parser(source), trains, counts)",
         (
-            "tests/test_trains.py::test_unrelated_clauses_are_skipped",
+            "tests/test_trains.py::test_the_token_reader_reads_on_from_the_fact_that_stops_the_fact_reader",
+            "tests/test_trains.py::test_writer_shaped_cars_never_reach_the_term_reader",
+            "tests/test_trains.py::test_ids_count_per_label_in_order",
+        ),
+    ),
+    Mutant(
+        "error-position-counted-from-the-start",
+        "src/eastwest/trains.py",
+        "_TOKEN_RE.finditer(source, start)",
+        "_TOKEN_RE.finditer(source)",
+        (
+            "tests/test_trains.py::test_the_token_reader_reads_on_from_the_fact_that_stops_the_fact_reader",
             "tests/test_trains.py::test_errors_carry_line_and_column[end-after-trailing-comment]",
         ),
     ),
     Mutant(
-        "fact-reader-keeps-partial-result",
+        "fact-counted-before-its-positions-check",
         "src/eastwest/trains.py",
-        "        return None\n    return trains if",
-        "        return trains\n    return trains if",
-        ("tests/test_trains.py::test_errors_carry_line_and_column[over-long-position]",),
+        "            if [c.position for c in cars] != list(range(1, len(cars) + 1)):\n"
+        "                break  # the token reader reports it\n"
+        '            label = m[1]  # "east" or "west", which are EAST and WEST\n'
+        "            counts[label] += 1\n",
+        '            label = m[1]  # "east" or "west", which are EAST and WEST\n'
+        "            counts[label] += 1\n"
+        "            if [c.position for c in cars] != list(range(1, len(cars) + 1)):\n"
+        "                break  # the token reader reports it\n",
+        (
+            "tests/test_trains.py::test_errors_carry_line_and_column[positions-swapped]",
+            "tests/test_trains.py::test_errors_carry_line_and_column[position-repeated]",
+        ),
     ),
     Mutant(
         "fact-shape-takes-any-atom",
@@ -204,8 +224,8 @@ MUTANTS = (
     Mutant(
         "error-rescan-counts-comments",
         "src/eastwest/trains.py",
-        'for m in _TOKEN_RE.finditer(source) if source[m.start()] != "%"]',
-        "for m in _TOKEN_RE.finditer(source)]",
+        'for m in _TOKEN_RE.finditer(source, start) if source[m.start()] != "%"]',
+        "for m in _TOKEN_RE.finditer(source, start)]",
         (
             "tests/test_trains.py::test_errors_carry_line_and_column[after-comment-line]",
             "tests/test_trains.py::test_errors_carry_line_and_column[end-after-trailing-comment]",
@@ -503,8 +523,8 @@ MUTANTS = (
     Mutant(
         "bad-character-one-token-late",
         "src/eastwest/trains.py",
-        "*_token_position(source, index))",
-        "*_token_position(source, index + 1))",
+        "*_token_position(source, index, start))",
+        "*_token_position(source, index + 1, start))",
         (
             "tests/test_trains.py::test_errors_carry_line_and_column[unexpected-character]",
             "tests/test_trains.py::test_tokenize_matches_named_group_reference",
@@ -763,6 +783,26 @@ MUTANTS = (
         (
             "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-matrix]",
             "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[prune-matrix]",
+        ),
+    ),
+    Mutant(
+        "tree-root-unchecked",
+        "src/eastwest/tree.py",
+        "    if not isinstance(tree, (Node, Leaf)):\n",
+        "    if False:\n",
+        (
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[predict-tree-none]",
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[dnf-tree-none]",
+        ),
+    ),
+    Mutant(
+        "dnf-shape-unchecked",
+        "src/eastwest/theory.py",
+        "    if not well_formed:\n",
+        "    if False:\n",
+        (
+            "tests/test_theory.py::test_a_dnf_of_the_wrong_shape_is_a_type_error_naming_it[finalize-none]",
+            "tests/test_theory.py::test_a_dnf_of_the_wrong_shape_is_a_type_error_naming_it[render-str]",
         ),
     ),
 )
