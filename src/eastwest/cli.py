@@ -111,6 +111,8 @@ def _run_one(data_file: str, args) -> tuple[dict, dict[str, str]]:
     costs = np.array([s.cost for s in table])
     try:
         result = ga.evolve(matrix, costs, config)
+    except tree_mod.EntropyTableMemoryError as exc:  # a dataset too large for the learner
+        raise CliError(f"out of memory: {exc}") from None
     except MemoryError:  # numpy's _ArrayMemoryError, e.g. for a huge --pop-size
         raise CliError(f"out of memory for a population of {config.population_size}") from None
 

@@ -10,16 +10,32 @@ construction.
 The random stream is part of every report, so its draws are fixed: the
 initial population, then for each pair of children two uniforms for the
 parents (read as `Generator.choice(p=...)` reads them, through a CDF of the
-rank probabilities), one for crossover and, when it crosses, two cut points,
-then for each child one uniform per gene, redrawing the genes under the
-mutation rate.  On the full feature table that is 1201 uniforms per child
-to mutate about 1.2 genes, but drawing the mutated positions another way
-would change every report.  A gene is redrawn as
+rank probabilities), one for crossover and, when it crosses, two cut points
+(`Generator.integers(0, length + 1, size=2)`), then for each child one
+uniform per gene, followed by one more for each gene under the mutation
+rate, which redraws it.  On the full feature table that is 1201 uniforms per
+child to mutate about 1.2 genes, but drawing the mutated positions another
+way would change every report.  A gene is redrawn as
 `low + (high - low) * rng.random()`, the doubles and the arithmetic of
 `Generator.uniform(low, high)`.
 The lone last child of an odd population draws nothing for its sibling.
-Each child's uniforms are drawn into one buffer that `evolve` reuses, which
-reads the same doubles from the stream as a fresh array would.
+
+`_breed` reads one generation's draws from one block of PCG64's raw 64-bit
+words (`random_raw`), not through about 15 `Generator` calls per pair, and
+takes the same numbers from the same words:
+- a uniform is `(word >> 11) * 2**-53`, so a gene mutates iff
+  `word >> 11 < ceil(MUTATION_RATE * 2**53)`;
+- a cut point is Lemire's method on a 32-bit half, `(half * span) >> 32`
+  with `span = length + 1`, drawn again while the product's low 32 bits are
+  below `(2**32 - span) % span`.  A word gives its low half first, then its
+  high half, and the generator keeps a high half no draw used
+  (`has_uint32`, `uinteger` in its state) for the next cut point, which may
+  come generations later;
+- the block is extended when the walk runs past its end, and the generator
+  is then set back and advanced past the words read, with that half, so it
+  stands where the per-pair calls leave it.
+The tests keep the per-pair loop as the reference for both the population
+and the generator's state.
 
 Inside `evolve` a genome's bias skips `BiasVector`'s checks: the first
 population is drawn within the gene bounds, a mutation redraws a gene within
@@ -33,6 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
@@ -123,7 +140,7 @@ def evaluate_individual(
     key = (id(tree), id(costs), config.error_cost)
     found = memo.fitness.get(key)
     if found is None:  # the entry holds the tree and the costs, so neither id is reused
-        found = memo.fitness[key] = (tree, costs, fitness(tree, matrix, costs, error_cost=config.error_cost))
+        found = memo.fitness[key] = (tree, costs, fitness(tree, matrix, costs, error_cost=config.error_cost, memo=memo))
     return tree, found[2]
 
 
@@ -136,6 +153,85 @@ def _rank_probabilities(order: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _breed(pop: np.ndarray, order: np.ndarray, lows: np.ndarray, highs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The next population, bred from `pop`, whose genomes `order` lists from
+    fittest to least fit, by the block walk of the module docstring."""
+    size, length = pop.shape
+    cdf = np.cumsum(_rank_probabilities(order))  # Generator.choice's own recipe for p=
+    cdf = (cdf / cdf[-1]).tolist()
+    limit = math.ceil(MUTATION_RATE * 2**53) << 11  # a gene mutates iff its word is below this
+    span = length + 1  # a cut point lies in [0, length]
+    reject = (2**32 - span) % span  # Lemire's method draws again below this
+    bits = rng.bit_generator
+    saved = bits.state
+    has_half, half = saved["has_uint32"], saved["uinteger"]  # PCG64's buffered upper half of a word
+    block, hits = np.empty(0, np.uint64), []  # the words, and the positions of those below the limit
+
+    def reach(end: int) -> None:  # extends the block to at least `end` words
+        nonlocal block
+        if end > (start := block.size):
+            # a population's worth of words covers a generation's draws
+            # unless it mutates many genes, and a block no larger than the
+            # population leaves the allocator memory it can hand to the next
+            # population (4 more words per genome read ru_maxrss 0.3 MB
+            # higher on trains20)
+            more = bits.random_raw(max(end - start, size * length))
+            hits.extend(range(start, start + more.size) if limit >= 2**64 else (np.flatnonzero(more < limit) + start).tolist())
+            block = np.concatenate((block, more)) if start else more
+
+    rows = order[:ELITISM_COUNT].tolist()  # the parent of each row of the next population
+    crossings, redrawn_rows, redrawn_genes, redraw_words = [], [], [], []
+    at = 0  # the next word to read
+    for k in range(ELITISM_COUNT, size, 2):
+        reach(at + 3)
+        a, b, cross = block[at : at + 3].tolist()  # two parents, then the crossover draw
+        at += 3
+        pair = bisect_right(cdf, (a >> 11) * 2.0**-53), bisect_right(cdf, (b >> 11) * 2.0**-53)
+        rows += pair
+        if (cross >> 11) * 2.0**-53 < CROSSOVER_RATE:
+            cuts = []
+            while len(cuts) < 2:  # Generator.integers(0, span, size=2): Lemire's method on 32-bit halves
+                if has_half:
+                    has_half, value = 0, half
+                else:
+                    reach(at + 1)
+                    word = int(block[at])
+                    at += 1
+                    has_half, half, value = 1, word >> 32, word & 0xFFFFFFFF
+                product = value * span
+                if product & 0xFFFFFFFF >= reject:
+                    cuts.append(product >> 32)
+            crossings.append((k, *sorted(cuts), *pair))
+        for row in range(k, min(k + 2, size)):  # an odd population's lone last child draws alone
+            end = at + length
+            reach(end)
+            first = bisect_left(hits, at)
+            mutated = bisect_left(hits, end, first) - first
+            if mutated:  # one redraw word per mutated gene, after the child's genes
+                reach(end + mutated)
+                redrawn_rows += [row] * mutated
+                redrawn_genes += [p - at for p in hits[first : first + mutated]]
+                redraw_words += range(end, end + mutated)
+            at = end + mutated
+    draws = (block[redraw_words] >> 11) * 2.0**-53
+    block = None  # released before the next population is allocated
+    bits.state = saved
+    bits.advance(at)
+    state = bits.state  # advance empties the half buffer
+    state.update(has_uint32=has_half, uinteger=half)
+    bits.state = state
+
+    next_pop = pop.take(rows[:size], axis=0)
+    for k, i, j, a, b in crossings:  # two-point crossover
+        next_pop[k, i:j] = pop[b, i:j]
+        if k + 1 < size:
+            next_pop[k + 1, i:j] = pop[a, i:j]
+    genes = np.array(redrawn_genes, dtype=np.intp)
+    low = lows[genes]  # redrawn as rng.uniform(low, highs[genes]) would, without its checks
+    next_pop[redrawn_rows, genes] = low + (highs[genes] - low) * draws
+    return next_pop
+
+
 def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> EvolutionResult:
     """Run the genetic search and return the fittest tree seen overall.
     Raises TypeError naming `matrix` or `config` unless they are a
@@ -144,10 +240,8 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
     if not isinstance(config, GaConfig):
         raise TypeError(f"config must be a GaConfig, got {type(config).__name__}")
     rng = np.random.default_rng(config.rng_seed)
-    size, length = config.population_size, matrix.n_features + 2
     lows, highs = _gene_bounds(matrix.n_features)
-    pop = rng.uniform(lows, highs, size=(size, length))
-    draws, hit = np.empty(length), np.empty(length, dtype=bool)  # one child's uniforms
+    pop = rng.uniform(lows, highs, size=(config.population_size, matrix.n_features + 2))
 
     memo = InductionMemo(matrix)  # lives as long as this run
     best_tree = None
@@ -178,24 +272,7 @@ def evolve(matrix: FeatureMatrix, costs: np.ndarray, config: GaConfig) -> Evolut
         if generation == config.generations:
             break
 
-        order = np.argsort(fitnesses, kind="stable")
-        cdf = np.cumsum(_rank_probabilities(order))  # Generator.choice's own recipe for p=
-        cdf /= cdf[-1]
-        next_pop = np.empty_like(pop)
-        next_pop[:ELITISM_COUNT] = pop[order[:ELITISM_COUNT]]
-        for k in range(ELITISM_COUNT, size, 2):
-            pair = pop[cdf.searchsorted(rng.random(2), side="right")]  # copies of both parents
-            if rng.random() < CROSSOVER_RATE:  # two-point crossover
-                i, j = sorted(rng.integers(0, length + 1, size=2))
-                pair[:, i:j] = pair[::-1, i:j]
-            for child in pair[: size - k]:  # an odd population's lone last child mutates alone
-                rng.random(out=draws)
-                [idx] = np.less(draws, MUTATION_RATE, out=hit).nonzero()
-                if idx.size:  # redraw as rng.uniform(low, highs[idx]) would, without its checks
-                    low = lows[idx]
-                    child[idx] = low + (highs[idx] - low) * rng.random(idx.size)
-            next_pop[k : k + 2] = pair[: size - k]
-        pop = next_pop
+        pop = _breed(pop, np.argsort(fitnesses, kind="stable"), lows, highs, rng)
 
     return EvolutionResult(best_tree, best_report, best_bias, history)
 

@@ -99,6 +99,14 @@ def _entropy_table(n_max: int) -> np.ndarray:
     return table
 
 
+class EntropyTableMemoryError(MemoryError):
+    """Out of memory for the `_entropy_table` of a matrix of `n_trains` rows."""
+
+    def __init__(self, n_trains: int):
+        mib = (n_trains + 1) ** 2 * 8 / 2**20
+        super().__init__(f"{n_trains} trains need an entropy table of {mib:,.1f} MiB")
+
+
 def _gains(m: int, pos: int, n1: np.ndarray, pos1: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Information gain of each feature over a subset of m examples, pos of them east.
 
@@ -138,7 +146,8 @@ class InductionMemo:
       bits past row N - 1 are 0. `candidates` counts a subset's rows in every
       column at once with popcounts of these words;
     - `entropy`: the `_entropy_table` of the matrix's size, built at the first
-      impure subset `candidates` meets, so pruning alone never builds it;
+      impure subset `candidates` meets, so pruning alone never builds it; a
+      `MemoryError` while it is built is an `EntropyTableMemoryError`;
     - `splits`: for each example subset, the features whose gain exceeds
       `_GAIN_EPS` there, as small unsigned indices, and their score
       numerators `2**gain - 1`; every pure subset shares one empty entry.
@@ -189,7 +198,10 @@ class InductionMemo:
             pos = s_east.bit_count()
             if 0 < pos < m:
                 if self.entropy is None:
-                    self.entropy = _entropy_table(self.matrix.n_trains)
+                    try:
+                        self.entropy = _entropy_table(self.matrix.n_trains)
+                    except MemoryError:
+                        raise EntropyTableMemoryError(self.matrix.n_trains) from None
                 width = 8 * self.words.shape[0]
                 rows = np.frombuffer(s.to_bytes(width, "little") + s_east.to_bytes(width, "little"), dtype="<u8")
                 n1, pos1 = np.bitwise_count(self.words & rows.reshape(2, -1, 1)).sum(axis=1, dtype=self._count)
@@ -379,16 +391,28 @@ def test_cost(tree: Tree, costs: np.ndarray) -> int:
     return int(costs[tree.feature]) + test_cost(tree.on_true, costs) + test_cost(tree.on_false, costs)
 
 
+def _errors(node, s, memo):
+    """How many rows of the example subset s the tree below node labels wrong."""
+    if isinstance(node, Leaf):
+        east = (s & memo.east).bit_count()
+        return s.bit_count() - east if node.label == EAST else east
+    t = s & memo.cols[node.feature]
+    return _errors(node.on_true, t, memo) + _errors(node.on_false, s ^ t, memo)
+
+
 def fitness(
     tree: Tree,
     matrix: FeatureMatrix,
     costs: np.ndarray,
     error_cost: float = ERROR_COST,
+    memo: InductionMemo | None = None,
 ) -> FitnessReport:
     """Score a tree: static test cost plus error_rate * error_cost.  Raises
     ValueError naming `costs` unless they are finite whole numbers >= 0, one
     per feature; `tree` and `matrix` are checked, and feature indices read,
-    as in `predict_all`."""
+    as in `predict_all`.  With a memo, which must belong to `matrix`
+    (ValueError otherwise), the errors are counted on its row sets; without
+    one, from `predict_all`'s predictions."""
     _check_matrix(matrix)
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
@@ -396,8 +420,11 @@ def fitness(
     whole = costs.dtype.kind in "iu" or np.all(np.isfinite(costs) & (np.floor(costs) == costs))
     if not whole or costs.size and costs.min() < 0:
         raise ValueError("costs must be finite whole numbers >= 0, each the size of a Prolog fragment")
-    predictions = predict_all(tree, matrix)
-    errors = int((predictions != matrix.labels).sum())
+    if memo is None:
+        errors = int((predict_all(tree, matrix) != matrix.labels).sum())
+    else:
+        _check_tree(tree)
+        errors = _errors(tree, _memo_for(matrix, memo).everyone, memo)
     rate = errors / matrix.n_trains if matrix.n_trains else 0.0
     cost = test_cost(tree, costs)
     return FitnessReport(

@@ -450,6 +450,37 @@ def reference_evolve(matrix, costs, config):
     return EvolutionResult(best_tree, best_report, best_bias, history)
 
 
+def reference_breed(pop, order, lows, highs, rng):
+    """`ga._breed` as a loop over pairs of children, each pair read from the
+    stream through `Generator` calls: the parents as `Generator.choice(p=...)`
+    draws them, the crossover draw and cut points, then each child's uniforms
+    and its redraws. The lone last child of an odd population draws nothing
+    for its sibling."""
+    import numpy as np
+
+    from eastwest.ga import CROSSOVER_RATE, ELITISM_COUNT, MUTATION_RATE, _rank_probabilities
+
+    size, length = pop.shape
+    cdf = np.cumsum(_rank_probabilities(order))  # Generator.choice's own recipe for p=
+    cdf /= cdf[-1]
+    draws, hit = np.empty(length), np.empty(length, dtype=bool)  # one child's uniforms
+    next_pop = np.empty_like(pop)
+    next_pop[:ELITISM_COUNT] = pop[order[:ELITISM_COUNT]]
+    for k in range(ELITISM_COUNT, size, 2):
+        pair = pop[cdf.searchsorted(rng.random(2), side="right")]  # copies of both parents
+        if rng.random() < CROSSOVER_RATE:  # two-point crossover
+            i, j = sorted(rng.integers(0, length + 1, size=2))
+            pair[:, i:j] = pair[::-1, i:j]
+        for child in pair[: size - k]:
+            rng.random(out=draws)
+            [idx] = np.less(draws, MUTATION_RATE, out=hit).nonzero()
+            if idx.size:  # redraw as rng.uniform(low, highs[idx]) would, without its checks
+                low = lows[idx]
+                child[idx] = low + (highs[idx] - low) * rng.random(idx.size)
+        next_pop[k : k + 2] = pair[: size - k]
+    return next_pop
+
+
 # --- running an emitted program ---------------------------------------------
 
 # the challenge's background predicates over c/7 car terms,

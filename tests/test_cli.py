@@ -552,6 +552,20 @@ def test_out_of_memory_in_evolve_is_a_cli_error(capsys, monkeypatch):
     assert err == "error: out of memory for a population of 1000000000\n"
 
 
+def test_out_of_memory_for_the_entropy_table_names_the_dataset(capsys, monkeypatch, tmp_path):
+    # stands in for a dataset too large for the (N + 1)**2 table; allocating
+    # one that large could exhaust the machine
+    def table(n_max):
+        raise MemoryError
+
+    monkeypatch.setattr("eastwest.tree._entropy_table", table)
+    data = tmp_path / "trains.pl"
+    data.write_text(render_trains(random_trains(2000, 0)))
+    code, out, err = run(capsys, ["induce", "--data", str(data), "--pop-size", "2", "--generations", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: 2000 trains need an entropy table of 30.5 MiB\n"
+
+
 def _fresh_python(code, *args, site=True):
     """Run `code` in a fresh interpreter that imports this checkout's package;
     without `site`, the interpreter runs with -S and imports no site module."""

@@ -19,6 +19,7 @@ from eastwest.ga import (
     ELITISM_COUNT,
     MUTATION_RATE,
     GaConfig,
+    _breed,
     _gene_bounds,
     _rank_probabilities,
     evaluate_individual,
@@ -33,7 +34,7 @@ from eastwest.tree import (
     tree_signature,
 )
 
-from oracles import reference_evolve, reference_induce
+from oracles import reference_breed, reference_evolve, reference_induce
 
 
 def two_car(label, i, roof="none"):
@@ -220,12 +221,13 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
         (lambda matrix, costs: predict_all(None, matrix), "tree"),
         (lambda matrix, costs: predict_all({"leaf": "east"}, matrix), "tree"),
         (lambda matrix, costs: fitness("east", matrix, costs), "tree"),
+        (lambda matrix, costs: fitness("east", matrix, costs, memo=InductionMemo(matrix)), "tree"),
         (lambda matrix, costs: tree_to_dnf(None), "tree"),
         (lambda matrix, costs: tree_to_dnf(("east",)), "tree"),
     ],
     ids=["evolve-matrix", "evolve-config", "evolve-config-dict", "induce-bias", "induce-bias-tuple",
          "induce-matrix", "prune-matrix", "predict-matrix", "fitness-matrix", "predict-tree-none",
-         "predict-tree-dict", "fitness-tree-str", "dnf-tree-none", "dnf-tree-tuple"],
+         "predict-tree-dict", "fitness-tree-str", "fitness-memo-tree-str", "dnf-tree-none", "dnf-tree-tuple"],
 )
 def test_learner_entries_raise_a_type_error_naming_the_argument(easy_problem, call, name):
     matrix, costs = easy_problem
@@ -410,6 +412,75 @@ def test_evolve_redraws_genes_as_the_reference_at_high_mutation_rates(monkeypatc
         assert history_to_csv(got.history) == history_to_csv(want.history)
         assert got.best_bias.weights.tobytes() == want.best_bias.weights.tobytes()
         assert (got.best_bias.omega, got.best_bias.cf) == (want.best_bias.omega, want.best_bias.cf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 400),
+    st.sampled_from([0.0, MUTATION_RATE, 0.05, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_breeding_reads_the_stream_as_the_per_pair_loop(size, n_features, rate, half_buffered, seed):
+    """`_breed` reads each generation's draws from one block of raw words;
+    the per-pair loop reads them through `Generator` calls. Over two
+    generations both give the same populations, byte for byte, and leave the
+    generator in the same state, its buffered half word included. A
+    generator may start a generation with a half word buffered (after a cut
+    point drawn again), which the first cut point reads."""
+    rng = np.random.default_rng(seed)
+    lows, highs = _gene_bounds(n_features)
+    pops = [rng.uniform(lows, highs, size=(size, n_features + 2))] * 2
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    if half_buffered:  # one 32-bit draw leaves the word's upper half in the generator
+        ours.integers(0, 7), theirs.integers(0, 7)
+        assert ours.bit_generator.state["has_uint32"] == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eastwest.ga, "MUTATION_RATE", rate)  # both loops read it at call time
+        for _ in range(2):
+            order = rng.permutation(size)
+            pops = _breed(pops[0], order, lows, highs, ours), reference_breed(pops[1], order, lows, highs, theirs)
+            assert pops[0].tobytes() == pops[1].tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+REJECTED_WORD = 18_057_946  # PCG64(0)'s first word with a half that Lemire's method rejects at 1202 cut points
+
+
+def test_generator_integers_draws_a_rejected_half_again_and_keeps_the_unused_half():
+    """Guards the numpy internal that `_breed` reads cut points by: at 1202
+    cut points a half whose product's low 32 bits fall below
+    (2**32 - 1202) % 1202 = 128 is drawn again, and a half a call leaves
+    unused stays buffered in the generator for its next 32-bit draw."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.advance(REJECTED_WORD)
+    word = int(rng.bit_generator.random_raw())
+    low, high = word & 0xFFFFFFFF, word >> 32
+    assert [low * 1202 >> 32, (low * 1202) % 2**32 >= 128, (high * 1202) % 2**32 < 128] == [301, True, True]
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.advance(REJECTED_WORD)
+    assert rng.integers(0, 1202, size=2).tolist() == [301, 895]  # 895 from the next word's low half
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1  # the next word's high half
+    assert rng.integers(0, 1202, size=1).tolist() == [state["uinteger"] * 1202 >> 32]
+
+
+def test_breeding_draws_a_rejected_cut_point_again_as_the_per_pair_loop():
+    """Started three words before `REJECTED_WORD` with four genomes of 1201
+    genes, both pairs cross (their crossover draws are 0.059 and 0.423). The
+    first reads its cut points from that word and draws its high half again
+    from the next word's low half; the second's first cut point is the high
+    half that word leaves buffered."""
+    rng = np.random.default_rng(7)
+    lows, highs = _gene_bounds(1199)
+    pop = rng.uniform(lows, highs, size=(4, 1201))
+    order = rng.permutation(4)
+    ours, theirs = np.random.Generator(np.random.PCG64(0)), np.random.Generator(np.random.PCG64(0))
+    for generator in (ours, theirs):
+        generator.bit_generator.advance(REJECTED_WORD - 3)
+    assert _breed(pop, order, lows, highs, ours).tobytes() == reference_breed(pop, order, lows, highs, theirs).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
@@ -15,9 +15,11 @@ from eastwest.trains import random_trains
 from eastwest.tree import (
     B_MAX,
     EAST,
+    ERROR_COST,
     WEST,
     _GAIN_EPS,
     BiasVector,
+    EntropyTableMemoryError,
     InductionMemo,
     Leaf,
     Node,
@@ -181,6 +183,17 @@ def test_entropy_table_build_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * table.nbytes
+
+
+def test_a_memo_out_of_memory_for_its_entropy_table_says_how_large_the_table_is(monkeypatch):
+    def table(n_max):  # stands in for an allocation too large to make
+        raise MemoryError
+
+    monkeypatch.setattr(tree_module, "_entropy_table", table)
+    m = make_matrix([[1], [0], [1]], [1, 0, 0])
+    with pytest.raises(EntropyTableMemoryError, match=r"^3 trains need an entropy table of 0\.0 MiB$"):
+        induce_tree(m, grow_only_bias(1))
+    assert issubclass(EntropyTableMemoryError, MemoryError)  # callers that catch MemoryError still do
 
 
 def test_rounding_noise_gain_is_not_a_split():
@@ -774,6 +787,45 @@ def test_prune_names_a_cf_that_is_not_a_number(cf):
 def test_predict_all_matches_row_loop_on_random_trees(matrix_and_tree):
     m, tree = matrix_and_tree
     assert np.array_equal(predict_all(tree, m), reference_predict(tree, m))
+
+
+@st.composite
+def matrices_and_trees_with_any_index(draw):
+    """Up to 130 rows, past two 64-bit words, and trees whose feature indices
+    may be negative (counted from the last column, as numpy counts them)."""
+    n = draw(st.integers(1, 130))
+    n_features = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((n, n_features)) < rng.random(n_features)
+    labels = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    leaves = st.builds(Leaf, st.sampled_from([EAST, WEST]), st.integers(0, 30))
+    tree = draw(
+        st.recursive(leaves, lambda sub: st.builds(Node, st.integers(-n_features, n_features - 1), sub, sub), max_leaves=16)
+    )
+    return make_matrix(values, labels), tree, rng.integers(0, 50, n_features)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_and_trees_with_any_index(), st.sampled_from([ERROR_COST, 0.0, 37.5]))
+@example(  # a repeated feature leaves a branch no example reaches, a minority label and a negative index
+    (
+        make_matrix([[1, 0], [1, 1], [0, 1], [0, 0], [1, 0]], [1, 0, 0, 0, 0]),
+        Node(0, Node(0, Node(-1, Leaf(WEST, 3), Leaf(EAST)), Leaf(EAST, 9)), Leaf(EAST, 2)),
+        np.array([3, 4]),
+    ),
+    ERROR_COST,
+)
+def test_fitness_on_the_memo_row_sets_equals_fitness_from_predictions(case, error_cost):
+    m, tree, costs = case
+    want = fitness(tree, m, costs, error_cost)
+    assert fitness(tree, m, costs, error_cost, memo=InductionMemo(m)) == want  # field for field
+    assert want.error_count == int((reference_predict(tree, m) != m.labels).sum())
+
+
+def test_fitness_with_a_memo_of_another_matrix_raises():
+    m = make_matrix([[1], [0]], [1, 0])
+    with pytest.raises(ValueError, match="^memo belongs to another feature matrix$"):
+        fitness(Leaf(EAST), m, np.array([1]), memo=InductionMemo(make_matrix([[1], [0]], [1, 0])))
 
 
 def test_predict_all_matches_row_loop_on_grown_trees():

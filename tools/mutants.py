@@ -261,8 +261,8 @@ MUTANTS = (
     Mutant(
         "mutation-rate-doubled",
         "src/eastwest/ga.py",
-        "np.less(draws, MUTATION_RATE, out=hit)",
-        "np.less(draws, 2 * MUTATION_RATE, out=hit)",
+        "limit = math.ceil(MUTATION_RATE * 2**53) << 11",
+        "limit = math.ceil(2 * MUTATION_RATE * 2**53) << 11",
         (
             "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
             "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
@@ -271,8 +271,8 @@ MUTANTS = (
     Mutant(
         "elite-from-the-worst-end",
         "src/eastwest/ga.py",
-        "pop[order[:ELITISM_COUNT]]",
-        "pop[order[-ELITISM_COUNT:]]",
+        "rows = order[:ELITISM_COUNT].tolist()",
+        "rows = order[-ELITISM_COUNT:].tolist()",
         (
             "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
             "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
@@ -281,8 +281,8 @@ MUTANTS = (
     Mutant(
         "lone-child-mutates-its-sibling",
         "src/eastwest/ga.py",
-        "for child in pair[: size - k]:",
-        "for child in pair:",
+        "for row in range(k, min(k + 2, size)):",
+        "for row in range(k, k + 2):",
         (
             "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
             "tests/test_cli.py::test_induce_artifacts_are_pinned[0]",
@@ -389,8 +389,8 @@ MUTANTS = (
     Mutant(
         "gene-redraw-without-low",
         "src/eastwest/ga.py",
-        "child[idx] = low + (highs[idx] - low) * rng.random(idx.size)",
-        "child[idx] = (highs[idx] - low) * rng.random(idx.size)",
+        "next_pop[redrawn_rows, genes] = low + (highs[genes] - low) * draws",
+        "next_pop[redrawn_rows, genes] = (highs[genes] - low) * draws",
         ("tests/test_ga.py::test_evolve_redraws_genes_as_the_reference_at_high_mutation_rates",),
     ),
     Mutant(
@@ -754,8 +754,8 @@ MUTANTS = (
     Mutant(
         "gene-redraw-past-highs",
         "src/eastwest/ga.py",
-        "child[idx] = low + (highs[idx] - low) * rng.random(idx.size)",
-        "child[idx] = low + (highs[idx] * 2 - low) * rng.random(idx.size)",
+        "next_pop[redrawn_rows, genes] = low + (highs[genes] - low) * draws",
+        "next_pop[redrawn_rows, genes] = low + (highs[genes] * 2 - low) * draws",
         ("tests/test_ga.py::test_every_bias_evolve_evaluates_passes_the_checks_and_is_its_genomes",),
     ),
     Mutant(
@@ -803,6 +803,64 @@ MUTANTS = (
         (
             "tests/test_theory.py::test_a_dnf_of_the_wrong_shape_is_a_type_error_naming_it[finalize-none]",
             "tests/test_theory.py::test_a_dnf_of_the_wrong_shape_is_a_type_error_naming_it[render-str]",
+        ),
+    ),
+    Mutant(
+        "generator-advanced-one-word-short",
+        "src/eastwest/ga.py",
+        "bits.advance(at)",
+        "bits.advance(at - 1)",
+        (
+            "tests/test_ga.py::test_breeding_reads_the_stream_as_the_per_pair_loop",
+            "tests/test_ga.py::test_evolve_matches_the_list_loop_reference",
+        ),
+    ),
+    Mutant(
+        "cut-point-rejection-dropped",
+        "src/eastwest/ga.py",
+        "if product & 0xFFFFFFFF >= reject:",
+        "if True:",
+        ("tests/test_ga.py::test_breeding_draws_a_rejected_cut_point_again_as_the_per_pair_loop",),
+    ),
+    Mutant(
+        "buffered-half-word-ignored",
+        "src/eastwest/ga.py",
+        'has_half, half = saved["has_uint32"], saved["uinteger"]',
+        'has_half, half = 0, saved["uinteger"]',
+        ("tests/test_ga.py::test_breeding_reads_the_stream_as_the_per_pair_loop",),
+    ),
+    Mutant(
+        "unused-half-word-discarded-after-each-cut-draw",
+        "src/eastwest/ga.py",
+        "            crossings.append((k, *sorted(cuts), *pair))\n",
+        "            crossings.append((k, *sorted(cuts), *pair))\n            has_half = 0\n",
+        ("tests/test_ga.py::test_breeding_draws_a_rejected_cut_point_again_as_the_per_pair_loop",),
+    ),
+    Mutant(
+        "unused-half-word-not-kept",
+        "src/eastwest/ga.py",
+        "    state.update(has_uint32=has_half, uinteger=half)\n",
+        "",
+        (
+            "tests/test_ga.py::test_breeding_reads_the_stream_as_the_per_pair_loop",
+            "tests/test_ga.py::test_breeding_draws_a_rejected_cut_point_again_as_the_per_pair_loop",
+        ),
+    ),
+    Mutant(
+        "row-set-fitness-counts-the-wrong-label",
+        "src/eastwest/tree.py",
+        "return s.bit_count() - east if node.label == EAST else east",
+        "return east if node.label == EAST else s.bit_count() - east",
+        ("tests/test_tree.py::test_fitness_on_the_memo_row_sets_equals_fitness_from_predictions",),
+    ),
+    Mutant(
+        "entropy-table-out-of-memory-untyped",
+        "src/eastwest/tree.py",
+        "raise EntropyTableMemoryError(self.matrix.n_trains) from None",
+        "raise",
+        (
+            "tests/test_tree.py::test_a_memo_out_of_memory_for_its_entropy_table_says_how_large_the_table_is",
+            "tests/test_cli.py::test_out_of_memory_for_the_entropy_table_names_the_dataset",
         ),
     ),
 )
