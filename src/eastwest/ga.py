@@ -176,6 +176,11 @@ def _breed(pop: np.ndarray, order: np.ndarray, lows: np.ndarray, highs: np.ndarr
             # population (4 more words per genome read ru_maxrss 0.3 MB
             # higher on trains20)
             more = bits.random_raw(max(end - start, size * length))
+            # at rate 1 the limit is 2**64, past uint64, and every word is
+            # below it; comparing `more >> 11` with the unshifted bound needs
+            # no such case, but its temporary took _breed from 0.34 to 0.63 ms
+            # per generation of 50 x 1201 genes, and five trains20 evolves
+            # read ru_maxrss 0.5 MB higher
             hits.extend(range(start, start + more.size) if limit >= 2**64 else (np.flatnonzero(more < limit) + start).tolist())
             block = np.concatenate((block, more)) if start else more
 

@@ -410,9 +410,9 @@ def fitness(
     """Score a tree: static test cost plus error_rate * error_cost.  Raises
     ValueError naming `costs` unless they are finite whole numbers >= 0, one
     per feature; `tree` and `matrix` are checked, and feature indices read,
-    as in `predict_all`.  With a memo, which must belong to `matrix`
-    (ValueError otherwise), the errors are counted on its row sets; without
-    one, from `predict_all`'s predictions."""
+    as in `predict_all`.  The errors are counted on the row sets of `memo`,
+    which must belong to `matrix` (ValueError otherwise); by default each
+    call starts a fresh one."""
     _check_matrix(matrix)
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")
@@ -420,11 +420,9 @@ def fitness(
     whole = costs.dtype.kind in "iu" or np.all(np.isfinite(costs) & (np.floor(costs) == costs))
     if not whole or costs.size and costs.min() < 0:
         raise ValueError("costs must be finite whole numbers >= 0, each the size of a Prolog fragment")
-    if memo is None:
-        errors = int((predict_all(tree, matrix) != matrix.labels).sum())
-    else:
-        _check_tree(tree)
-        errors = _errors(tree, _memo_for(matrix, memo).everyone, memo)
+    _check_tree(tree)
+    memo = _memo_for(matrix, memo)
+    errors = _errors(tree, memo.everyone, memo)
     rate = errors / matrix.n_trains if matrix.n_trains else 0.0
     cost = test_cost(tree, costs)
     return FitnessReport(

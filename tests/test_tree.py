@@ -20,6 +20,7 @@ from eastwest.tree import (
     _GAIN_EPS,
     BiasVector,
     EntropyTableMemoryError,
+    FitnessReport,
     InductionMemo,
     Leaf,
     Node,
@@ -815,11 +816,13 @@ def matrices_and_trees_with_any_index(draw):
     ),
     ERROR_COST,
 )
-def test_fitness_on_the_memo_row_sets_equals_fitness_from_predictions(case, error_cost):
+def test_fitness_on_the_memo_row_sets_equals_the_row_loop(case, error_cost):
     m, tree, costs = case
-    want = fitness(tree, m, costs, error_cost)
+    errors = int((reference_predict(tree, m) != m.labels).sum())
+    cost = static_test_cost(tree, costs)
+    want = FitnessReport(cost, errors, errors / m.n_trains, cost + errors / m.n_trains * error_cost)
     assert fitness(tree, m, costs, error_cost, memo=InductionMemo(m)) == want  # field for field
-    assert want.error_count == int((reference_predict(tree, m) != m.labels).sum())
+    assert fitness(tree, m, costs, error_cost) == want
 
 
 def test_fitness_with_a_memo_of_another_matrix_raises():

@@ -851,7 +851,7 @@ MUTANTS = (
         "src/eastwest/tree.py",
         "return s.bit_count() - east if node.label == EAST else east",
         "return east if node.label == EAST else s.bit_count() - east",
-        ("tests/test_tree.py::test_fitness_on_the_memo_row_sets_equals_fitness_from_predictions",),
+        ("tests/test_tree.py::test_fitness_on_the_memo_row_sets_equals_the_row_loop",),
     ),
     Mutant(
         "entropy-table-out-of-memory-untyped",
