@@ -122,6 +122,14 @@ def _gains(m: int, pos: int, n1: np.ndarray, pos1: np.ndarray, h: np.ndarray) ->
     return np.maximum(h[m, pos] - child, 0.0)
 
 
+def _numerator_table(m: int, pos: int, h: np.ndarray) -> np.ndarray:
+    """The score numerator 2**gain - 1 of a feature holding for n1 of m examples,
+    pos1 of the pos east ones, at cell n1 * (pos + 1) + pos1; 0 where the gain
+    is at most _GAIN_EPS. Cells with no such split (pos1 > n1, say) are never read."""
+    gains = _gains(m, pos, np.arange(m + 1)[:, None], np.arange(pos + 1), h).ravel()  # row n1, column pos1
+    return np.where(gains > _GAIN_EPS, np.power(2.0, gains) - 1.0, 0.0)
+
+
 def selection_criterion(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Score (2**gain - 1) / (bias + 1)**omega: `num` per example subset, `den` per genome."""
     return num / den
@@ -154,6 +162,11 @@ class InductionMemo:
       Only the entries read in this generation or the previous one are
       kept (`next_generation`); a dropped entry is recomputed, to the bit,
       if it is needed again;
+    - `numerators`: the `_numerator_table` of each `(m, pos)` of an impure
+      subset whose `(m + 1) * (pos + 1)` count pairs number at most
+      `n_features // 4`; `candidates` reads such a subset's numerators from
+      it at each feature's `(n1, pos1)` cell, the same floats its gains
+      give, and computes the gains of larger shapes; kept for the whole run;
     - `leaves`: the majority `Leaf` of each example subset, counted over it;
       leaves are immutable, so every tree grown or pruned to one shares it;
     - `nodes`: the one `Node` of each feature over two child objects, so
@@ -176,6 +189,8 @@ class InductionMemo:
         self.words = np.ascontiguousarray(np.frombuffer(packed, "<u8").reshape(matrix.n_features, n_words).T)
         self.everyone = (1 << matrix.n_trains) - 1
         self.entropy: np.ndarray | None = None  # (N + 1)**2 floats
+        self.numerators: dict[tuple[int, int], np.ndarray] = {}
+        self._tabulated = matrix.n_features // 4  # the most cells a numerator table has; // 8 measured slower
         self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # read this generation
         self._last_splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # read only the one before
         self.leaves: dict[int, Leaf] = {}
@@ -184,7 +199,8 @@ class InductionMemo:
         self.bounds: dict[tuple[int, int, float], float] = {}
         self.fitness: dict[tuple[int, int, float], tuple[Tree, np.ndarray, FitnessReport]] = {}
         self._index = np.min_scalar_type(max(matrix.n_features - 1, 0))
-        self._count = np.min_scalar_type(matrix.n_trains)  # exact, and the narrowest sum is the fastest
+        # holds every count and every table cell index exactly, and the narrowest sum is the fastest
+        self._count = np.min_scalar_type(max(matrix.n_trains, self._tabulated))
         self._no_split = (np.empty(0, dtype=self._index), np.empty(0))
 
     def candidates(self, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +221,19 @@ class InductionMemo:
                 width = 8 * self.words.shape[0]
                 rows = np.frombuffer(s.to_bytes(width, "little") + s_east.to_bytes(width, "little"), dtype="<u8")
                 n1, pos1 = np.bitwise_count(self.words & rows.reshape(2, -1, 1)).sum(axis=1, dtype=self._count)
-                gains = _gains(m, pos, n1, pos1, self.entropy)
-                # a feature already tested on the path is constant here, so its gain is 0
-                cand = np.flatnonzero(gains > _GAIN_EPS)
-                found = (cand.astype(self._index), np.power(2.0, gains[cand]) - 1.0)
+                if (m + 1) * (pos + 1) <= self._tabulated:
+                    key = (m, pos)
+                    table = self.numerators.get(key)
+                    if table is None:
+                        table = self.numerators[key] = _numerator_table(m, pos, self.entropy)
+                    num = table.take(n1 * (pos + 1) + pos1)
+                    cand = num.nonzero()[0]
+                    found = (cand.astype(self._index), num[cand])
+                else:
+                    gains = _gains(m, pos, n1, pos1, self.entropy)
+                    # a feature already tested on the path is constant here, so its gain is 0
+                    cand = np.flatnonzero(gains > _GAIN_EPS)
+                    found = (cand.astype(self._index), np.power(2.0, gains[cand]) - 1.0)
             else:  # a pure subset has no gain
                 found = self._no_split
         self.splits[s] = found
@@ -255,9 +280,11 @@ def _check_tree(tree) -> None:
 
 
 def _memo_for(matrix: FeatureMatrix, memo: InductionMemo | None) -> InductionMemo:
-    """`memo`, checked to belong to `matrix`; a fresh memo when it is None."""
+    """`memo`, checked to be an `InductionMemo` of `matrix`; a fresh memo when it is None."""
     if memo is None:
         return InductionMemo(matrix)
+    if not isinstance(memo, InductionMemo):
+        raise TypeError(f"memo must be an InductionMemo, got {type(memo).__name__}")
     if memo.matrix is not matrix:
         raise ValueError("memo belongs to another feature matrix")
     return memo
@@ -278,8 +305,9 @@ def induce_tree(matrix: FeatureMatrix, bias: BiasVector, memo: InductionMemo | N
     """Grow a tree under the given bias, then prune it at bias.cf.
 
     `memo` must belong to `matrix`: `ga.evolve` shares one across its run;
-    by default each call starts a fresh one.  Raises TypeError naming `bias`
-    or `matrix` unless they are a `BiasVector` and a `FeatureMatrix`.
+    by default each call starts a fresh one.  Raises TypeError naming `bias`,
+    `matrix` or `memo` unless they are a `BiasVector`, a `FeatureMatrix` and
+    an `InductionMemo` (or None).
     """
     if not isinstance(bias, BiasVector):
         raise TypeError(f"bias must be a BiasVector, got {type(bias).__name__}")
@@ -339,10 +367,10 @@ def prune(tree: Tree, cf: float, matrix: FeatureMatrix, memo: InductionMemo | No
     """Pessimistic leaf-replacement pruning at confidence level cf (percent);
     the result is computed once per tree object and cf in the memo.  Raises
     ValueError naming cf for a cf that is not a number in [CF_MIN, CF_MAX],
-    and TypeError naming `matrix` unless it is a `FeatureMatrix`.
-    Feature indices are not checked, as that would walk every tree on every
-    evaluation: one past the columns raises IndexError, and a negative one
-    counts from the last column."""
+    and TypeError naming `matrix` or `memo` unless they are a `FeatureMatrix`
+    and an `InductionMemo` (or None).  Feature indices are not checked, as
+    that would walk every tree on every evaluation: one past the columns
+    raises IndexError, and a negative one counts from the last column."""
     if not _within("cf", cf, CF_MIN, CF_MAX):
         raise ValueError(f"cf must lie in [{CF_MIN}, {CF_MAX}]")
     _check_matrix(matrix)
@@ -411,8 +439,8 @@ def fitness(
     ValueError naming `costs` unless they are finite whole numbers >= 0, one
     per feature; `tree` and `matrix` are checked, and feature indices read,
     as in `predict_all`.  The errors are counted on the row sets of `memo`,
-    which must belong to `matrix` (ValueError otherwise); by default each
-    call starts a fresh one."""
+    which must be an `InductionMemo` (TypeError otherwise) of `matrix`
+    (ValueError otherwise); by default each call starts a fresh one."""
     _check_matrix(matrix)
     if np.shape(costs) != (matrix.n_features,):
         raise ValueError(f"costs has shape {np.shape(costs)}, not one cost per feature ({matrix.n_features})")

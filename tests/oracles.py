@@ -179,6 +179,25 @@ def float_gains(values, labels):
     return np.maximum(float_entropy(pos, m) - child, 0.0)
 
 
+TABULATED = 1199 // 4  # the memo's cap on a numerator table's cells over the full feature table
+
+
+def tabulated_cells():
+    """(m, pos, n1, pos1) for each subset shape whose numerators a memo over the
+    full feature table tabulates (0 < pos < m, (m + 1)(pos + 1) <= TABULATED),
+    with `n1` and `pos1` listing every (examples, east examples) count pair a
+    feature can hold for there, as int arrays."""
+    import numpy as np
+
+    for m in range(2, TABULATED):
+        for pos in range(1, m):
+            if (m + 1) * (pos + 1) > TABULATED:
+                break
+            pairs = [(a, b) for a in range(m + 1) for b in range(max(0, a - (m - pos)), min(a, pos) + 1)]
+            n1, pos1 = np.array(pairs).T
+            yield m, pos, n1, pos1
+
+
 def selection_score_oracle(gain: float, bias: float, omega: float) -> float:
     return (2.0 ** gain - 1.0) / (bias + 1.0) ** omega
 

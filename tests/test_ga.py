@@ -216,6 +216,9 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
         (lambda matrix, costs: induce_tree(matrix, (np.zeros(matrix.n_features), 0.5, 50.0)), "bias"),
         (lambda matrix, costs: induce_tree(None, BiasVector(np.zeros(matrix.n_features), 0.5, 25.0)), "matrix"),
         (lambda matrix, costs: prune(Leaf("east", 1), 25.0, None), "matrix"),
+        (lambda matrix, costs: induce_tree(matrix, BiasVector(np.zeros(matrix.n_features), 0.5, 25.0), {}), "memo"),
+        (lambda matrix, costs: prune(Leaf("east", 1), 25.0, matrix, memo=matrix), "memo"),
+        (lambda matrix, costs: fitness(Leaf("east", 1), matrix, costs, memo="memo"), "memo"),
         (lambda matrix, costs: predict_all(Leaf("east", 1), None), "matrix"),
         (lambda matrix, costs: fitness(Leaf("east", 1), None, costs), "matrix"),
         (lambda matrix, costs: predict_all(None, matrix), "tree"),
@@ -226,12 +229,13 @@ def test_evolved_bias_reinduces_reported_tree(easy_problem):
         (lambda matrix, costs: tree_to_dnf(("east",)), "tree"),
     ],
     ids=["evolve-matrix", "evolve-config", "evolve-config-dict", "induce-bias", "induce-bias-tuple",
-         "induce-matrix", "prune-matrix", "predict-matrix", "fitness-matrix", "predict-tree-none",
-         "predict-tree-dict", "fitness-tree-str", "fitness-memo-tree-str", "dnf-tree-none", "dnf-tree-tuple"],
+         "induce-matrix", "prune-matrix", "induce-memo", "prune-memo", "fitness-memo", "predict-matrix",
+         "fitness-matrix", "predict-tree-none", "predict-tree-dict", "fitness-tree-str", "fitness-memo-tree-str",
+         "dnf-tree-none", "dnf-tree-tuple"],
 )
 def test_learner_entries_raise_a_type_error_naming_the_argument(easy_problem, call, name):
     matrix, costs = easy_problem
-    with pytest.raises(TypeError, match=f"^{name} must be a "):
+    with pytest.raises(TypeError, match=f"^{name} must be an? "):
         call(matrix, costs)
 
 

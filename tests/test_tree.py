@@ -26,6 +26,7 @@ from eastwest.tree import (
     Node,
     _entropy_table,
     _gains,
+    _numerator_table,
     fitness,
     induce_tree,
     node_count,
@@ -47,6 +48,8 @@ from oracles import (
     reference_induce,
     reference_predict,
     selection_score_oracle,
+    TABULATED,
+    tabulated_cells,
 )
 
 
@@ -74,17 +77,25 @@ def bitset(rows):
 def memo_split(matrix, rows):
     """(candidates, numerators, gains) of a fresh memo's `candidates` over the
     `rows` subset. The gains are every feature's, as the popcount path computes
-    them, caught on their way into the numerators (None for a pure subset)."""
+    them, caught on their way into the numerators (None for a pure subset).
+    When the memo tabulates the subset's numerators, the gains caught are the
+    table's, one per (n1, pos1) cell, and each feature's is read at its cell."""
     caught = []
 
     def spy(*args):
         caught.append(_gains(*args))
         return caught[-1]
 
+    memo = InductionMemo(matrix)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "_gains", spy)
-        cand, num = InductionMemo(matrix).candidates(bitset(rows))
-    return cand, num, (caught[0] if caught else None)
+        cand, num = memo.candidates(bitset(rows))
+    if not caught:
+        return cand, num, None
+    if memo.numerators:
+        x, y = matrix.values[rows], matrix.labels[rows]
+        return cand, num, caught[0].take(x.sum(axis=0) * (int(y.sum()) + 1) + x[y].sum(axis=0))
+    return cand, num, caught[0]
 
 
 def information_gain(matrix, subset, feature):
@@ -165,6 +176,52 @@ def test_table_gains_equal_float_gains_bit_for_bit(n, n_features, labelling, see
         assert _gains(m, pos, n1, pos1, _entropy_table(m)).tobytes() == want.tobytes()  # a table of exactly m
 
 
+def test_numerator_tables_equal_the_per_feature_numerators_bit_for_bit():
+    # a table's floats depend on (m, pos) alone, and an entropy table's rows on
+    # their own n alone, so this covers every table a memo over the full
+    # feature table builds, whatever the dataset
+    h = _entropy_table(TABULATED)
+    for m, pos, n1, pos1 in tabulated_cells():
+        got = _numerator_table(m, pos, h).take(n1 * (pos + 1) + pos1)
+        gains = _gains(m, pos, n1.astype(np.uint16), pos1.astype(np.uint16), h)  # the memo's counts over 1199 features
+        cand = np.flatnonzero(gains > _GAIN_EPS)  # as the per-feature path takes them
+        want = np.zeros(n1.size)
+        want[cand] = np.power(2.0, gains[cand]) - 1.0
+        assert got.tobytes() == want.tobytes(), (m, pos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 60), st.integers(0, 2**32 - 1))
+@example(40, 0)  # a failure here is reported at once, never shrunk
+def test_tabulated_candidates_equal_float_gains_bit_for_bit(n, seed):
+    """One memo reads subsets of many (m, pos) shapes, several sharing an m,
+    from its numerator tables; each entry must be the float recipe's."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, 1199)) < rng.random(1199)
+    values[:, rng.integers(0, 1199, 50)] = rng.random((1, 50)) < 0.5  # constant columns
+    labels = rng.random(n) < rng.uniform(0.2, 0.8)
+    labels[:2] = True, False
+    east, west = np.flatnonzero(labels), np.flatnonzero(~labels)
+    matrix = make_matrix(values, labels)
+    memo = InductionMemo(matrix)
+    shapes = set()
+    for i in range(12):
+        m = 2 if i == 0 else int(rng.integers(2, min(n, TABULATED // 2 - 1) + 1))
+        for pos in rng.permutation(np.arange(1, m))[:3]:  # up to three east counts at this m
+            pos = int(pos)
+            if pos > east.size or m - pos > west.size or (m + 1) * (pos + 1) > TABULATED:
+                continue
+            rows = np.sort(np.concatenate([rng.choice(east, pos, replace=False), rng.choice(west, m - pos, replace=False)]))
+            want = float_gains(values[rows], labels[rows])
+            cand, num = memo.candidates(bitset(rows))
+            assert np.array_equal(cand, np.flatnonzero(want > _GAIN_EPS))
+            assert num.tobytes() == (np.power(2.0, want[cand]) - 1.0).tobytes()
+            shapes.add((m, pos))
+        if i == 0:  # a fresh memo's table path, as the gain tests' spy sees it
+            assert memo_split(matrix, rows)[2].tobytes() == want.tobytes()
+    assert (2, 1) in shapes and memo.numerators.keys() == shapes
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 63, 64, 65, 300])
 def test_entropy_table_matches_float_recipe(n_max):
     table = _entropy_table(n_max)
@@ -206,6 +263,31 @@ def test_rounding_noise_gain_is_not_a_split():
     assert 0 < _gains(15, 6, n1, pos1, _entropy_table(15))[0] <= _GAIN_EPS
     assert InductionMemo(m).candidates(bitset(range(15)))[0].size == 0
     assert induce_tree(m, grow_only_bias(1)) == Leaf(WEST, 15)
+
+
+def test_rounding_noise_gain_is_not_a_split_on_the_table_path(monkeypatch):
+    # the subset of test_rounding_noise_gain_is_not_a_split, with enough
+    # copies of its feature that the memo tabulates the numerators of (15, 6)
+    copies = 4 * 16 * 7
+    m = make_matrix(np.repeat(np.arange(15)[:, None] < 5, copies, axis=1), np.isin(np.arange(15), [0, 1, 5, 6, 7, 8]))
+    memo = InductionMemo(m)
+    assert memo.candidates(bitset(range(15)))[0].size == 0
+    assert 0 < _gains(15, 6, np.array([5]), np.array([2]), memo.entropy)[0] <= _GAIN_EPS
+    assert memo.numerators[15, 6][5 * 7 + 2] == 0.0
+    assert induce_tree(m, grow_only_bias(copies)) == Leaf(WEST, 15)
+    # such noise is too small for 2**gain - 1 to round above 0, so the same
+    # gain raised to 1e-13, still at most _GAIN_EPS, must not be a split either
+    real = tree_module._gains
+
+    def raised(*args):
+        gains = real(*args)
+        gains[(0 < gains) & (gains <= _GAIN_EPS)] = 1e-13
+        return gains
+
+    monkeypatch.setattr(tree_module, "_gains", raised)
+    assert np.power(2.0, 1e-13) - 1.0 > 0
+    assert InductionMemo(m).candidates(bitset(range(15)))[0].size == 0
+    assert induce_tree(m, grow_only_bias(copies)) == Leaf(WEST, 15)
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
@@ -318,8 +400,11 @@ def test_grow_moves_every_split_entry_it_reads_into_this_generation(monkeypatch,
 def root_scores(gains, weights, omega):
     """The root's candidate scores as `induce_tree` composes them when the root's
     gains are `gains`: the memo's numerators over the genome's denominators,
-    caught at the split hook."""
+    caught at the split hook. From 24 features on, the memo tabulates the
+    root's numerators, and every feature reads the one cell of its counts
+    (1, 1), so the gains must then be equal."""
     n = len(gains)
+    assert n < 24 or len(set(gains)) == 1
     m = make_matrix([[1] * n, [0] * n], [1, 0])  # both children of any split are pure
     scores = []
 

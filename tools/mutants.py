@@ -863,6 +863,48 @@ MUTANTS = (
             "tests/test_cli.py::test_out_of_memory_for_the_entropy_table_names_the_dataset",
         ),
     ),
+    Mutant(
+        "numerator-cell-transposed",
+        "src/eastwest/tree.py",
+        "table.take(n1 * (pos + 1) + pos1)",
+        "table.take(pos1 * (m + 1) + n1)",
+        ("tests/test_tree.py::test_tabulated_candidates_equal_float_gains_bit_for_bit",),
+    ),
+    Mutant(
+        "numerator-tables-keyed-by-m",
+        "src/eastwest/tree.py",
+        "key = (m, pos)",
+        "key = m",
+        ("tests/test_tree.py::test_tabulated_candidates_equal_float_gains_bit_for_bit",),
+    ),
+    Mutant(
+        "numerator-table-keeps-rounding-noise",
+        "src/eastwest/tree.py",
+        "np.where(gains > _GAIN_EPS, np.power(2.0, gains) - 1.0, 0.0)",
+        "np.where(gains > 0, np.power(2.0, gains) - 1.0, 0.0)",
+        # real rounding noise is too small to leave 2**gain - 1 above 0, so only
+        # a gain raised within (0, _GAIN_EPS] shows the missing zero
+        ("tests/test_tree.py::test_rounding_noise_gain_is_not_a_split_on_the_table_path",),
+    ),
+    Mutant(
+        "memo-of-any-type",
+        "src/eastwest/tree.py",
+        "    if not isinstance(memo, InductionMemo):\n",
+        "    if False:\n",
+        (
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[induce-memo]",
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[prune-memo]",
+            "tests/test_ga.py::test_learner_entries_raise_a_type_error_naming_the_argument[fitness-memo]",
+        ),
+    ),
+    Mutant(
+        "one-bound-off-by-an-ulp",
+        "src/eastwest/tree.py",
+        "return float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))",
+        "p = float(betaincinv(errors + 1, n - errors, 1.0 - cf / 100.0))\n"
+        "    return float(np.nextafter(p, 1.0)) if (errors, n, cf) == (0, 9, 36.76467446581985) else p",
+        ("tests/test_numerics.py::test_numerics_fingerprint_is_pinned",),
+    ),
 )
 
 
